@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark): the wire-format and transport
 // building blocks — CDR marshaling, GIOP framing/inspection, Any state
 // values, Eternal envelopes, and Totem multicast throughput/latency across
-// the 1518-byte fragmentation knee.
+// the 1518-byte fragmentation knee — plus the simulation kernel's event
+// queue and Totem's frame store. Report-only: nothing gates on these rows.
 #include <benchmark/benchmark.h>
 
 #include "core/envelope.hpp"
 #include "giop/giop.hpp"
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
+#include "totem/frame_store.hpp"
 #include "totem/totem.hpp"
 #include "util/any.hpp"
 #include "util/cdr.hpp"
@@ -139,6 +141,79 @@ void BM_TotemMulticastDelivery(benchmark::State& state) {
       benchmark::Counter(virtual_latency_ns / 1e3 / static_cast<double>(messages));
 }
 BENCHMARK(BM_TotemMulticastDelivery)->Arg(100)->Arg(1400)->Arg(1600)->Arg(15000)->Arg(150000);
+
+/// Background events parked where no benchmark run's clock reaches them.
+constexpr std::int64_t kFarFuture = 1'000'000'000'000'000;  // ~11.6 virtual days
+
+/// Event queue: schedule one event and fire it, with `range(0)` other events
+/// pending far in the future (the heap depth a busy system carries).
+void BM_SimScheduleFire(benchmark::State& state) {
+  sim::Simulator sim;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.schedule(util::Duration(kFarFuture + i), [] {});
+  }
+  std::uint64_t fired = 0;
+  // A capture the size of an Ethernet delivery (this, from, to, shared buffer).
+  struct Capture {
+    void* self;
+    std::uint64_t from_to;
+    std::shared_ptr<int> buffer;
+  } capture{&sim, 7, std::make_shared<int>(1)};
+  std::int64_t delay = 0;
+  for (auto _ : state) {
+    sim.schedule(util::Duration(delay), [&fired, capture] { fired += capture.from_to; });
+    delay = (delay + 3'001) % 10'000;
+    sim.step();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimScheduleFire)->Arg(16)->Arg(4096);
+
+/// Token-timer pattern: every received frame cancels and re-arms a 5 ms
+/// timeout (TotemNode::arm_token_timer), so most timers die cancelled.
+/// One iteration = one frame arrival event plus its cancel + re-arm.
+void BM_SimCancelRearm(benchmark::State& state) {
+  sim::Simulator sim;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.schedule(util::Duration(kFarFuture + i), [] {});
+  }
+  sim::EventId timer{};
+  std::uint64_t timeouts = 0;
+  for (auto _ : state) {
+    sim.schedule(util::Duration(10'000), [&] {
+      sim.cancel(timer);
+      timer = sim.schedule(util::Duration(5'000'000), [&timeouts] { ++timeouts; });
+    });
+    sim.step();
+  }
+  benchmark::DoNotOptimize(timeouts);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimCancelRearm)->Arg(16)->Arg(4096);
+
+/// Totem frame store in its steady state: insert the next sequence number
+/// (moving a decoded frame in), look up the delivery head and a
+/// retransmission target, and trim everything `gc_margin` (4096) behind.
+void BM_FrameStoreInsertFindGc(benchmark::State& state) {
+  constexpr std::uint64_t kMargin = 4096;
+  totem::FrameStore store;
+  std::uint64_t seq = 0;
+  std::uint64_t found = 0;
+  for (auto _ : state) {
+    ++seq;
+    totem::DataFrame f;
+    f.seq = seq;
+    f.payload = util::Bytes(200, 0x5a);
+    store.emplace(std::move(f));
+    found += store.find(seq) != nullptr;
+    found += store.find(seq > 64 ? seq - 64 : seq) != nullptr;
+    if (seq > kMargin) store.erase_below(seq - kMargin);
+  }
+  benchmark::DoNotOptimize(found);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FrameStoreInsertFindGc);
 
 }  // namespace
 

@@ -64,13 +64,18 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo
-echo "== ASan/UBSan: obs + core suites =="
+echo "== ASan/UBSan: sim/totem kernel + obs + core suites =="
 cmake -B build-asan -S . -DETERNAL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
+  sim_test totem_test totem_protocol_test fingerprint_test \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
   batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
   chaos_script_test fleet_stats_test
-for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
+# sim_test and totem_test hold the event-queue and frame-store differential
+# tests: sim::Callback placement-news callables into raw slot storage and
+# the frame store recycles ring slots, so both run under the sanitizers.
+for t in sim_test totem_test totem_protocol_test fingerprint_test \
+         obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
          chaos_script_test fleet_stats_test; do
   "build-asan/tests/$t"
 done

@@ -2,38 +2,46 @@
 
 namespace eternal::sim {
 
-EventId Simulator::schedule(Duration delay, std::function<void()> fn) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
+namespace {
+
+std::uint32_t slot_of(EventId id) noexcept { return static_cast<std::uint32_t>(id.value); }
+std::uint32_t generation_of(EventId id) noexcept {
+  return static_cast<std::uint32_t>(id.value >> 32);
 }
 
-EventId Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
+}  // namespace
+
+EventId Simulator::schedule_at(TimePoint when, Callback fn) {
   if (when < now_) when = now_;
-  const EventId id{next_id_++};
-  queue_.push(Entry{when, next_seq_++, id});
-  handlers_.emplace(id.value, std::move(fn));
-  return id;
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].fn = std::move(fn);
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{when, next_seq_++, slot});
+  return EventId{(std::uint64_t{slots_[slot].generation} << 32) | slot};
 }
 
 void Simulator::cancel(EventId id) {
-  if (handlers_.erase(id.value) > 0) cancelled_.insert(id.value);
+  const std::uint32_t slot = slot_of(id);
+  if (slot >= slots_.size()) return;
+  const Slot& s = slots_[slot];
+  if (s.generation != generation_of(id) || s.heap_pos == kNone) return;
+  remove_at(s.heap_pos);
+  release_slot(slot);
 }
 
 bool Simulator::fire_next() {
-  while (!queue_.empty()) {
-    Entry top = queue_.top();
-    queue_.pop();
-    if (cancelled_.erase(top.id.value) > 0) continue;  // was cancelled
-    auto it = handlers_.find(top.id.value);
-    if (it == handlers_.end()) continue;
-    std::function<void()> fn = std::move(it->second);
-    handlers_.erase(it);
-    now_ = top.when;
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_.front();
+  remove_at(0);
+  // Move the callable out and recycle its slot before running it: the
+  // handler may schedule (growing the slab) or cancel its own, now stale,
+  // handle.
+  Callback fn = std::move(slots_[top.slot].fn);
+  release_slot(top.slot);
+  now_ = top.when;
+  ++executed_;
+  fn();
+  return true;
 }
 
 bool Simulator::step() { return fire_next(); }
@@ -45,17 +53,66 @@ std::size_t Simulator::run(std::size_t limit) {
 }
 
 void Simulator::run_until(TimePoint deadline) {
-  while (!queue_.empty()) {
-    Entry top = queue_.top();
-    if (cancelled_.count(top.id.value) > 0) {
-      queue_.pop();
-      cancelled_.erase(top.id.value);
-      continue;
-    }
-    if (top.when > deadline) break;
-    fire_next();
-  }
+  while (!heap_.empty() && heap_.front().when <= deadline) fire_next();
   if (now_ < deadline) now_ = deadline;
+}
+
+std::uint32_t Simulator::acquire_slot() {
+  if (free_head_ != kNone) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = slots_[slot].next_free;
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Simulator::release_slot(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  s.fn.reset();
+  s.heap_pos = kNone;
+  if (++s.generation == 0) s.generation = 1;  // 0 would alias EventId{}
+  s.next_free = free_head_;
+  free_head_ = slot;
+}
+
+void Simulator::place(std::size_t pos, const HeapEntry& e) noexcept {
+  heap_[pos] = e;
+  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void Simulator::sift_up(std::size_t pos, HeapEntry e) noexcept {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!earlier(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void Simulator::sift_down(std::size_t pos, HeapEntry e) noexcept {
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+void Simulator::remove_at(std::size_t pos) noexcept {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  if (pos > 0 && earlier(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
 }
 
 }  // namespace eternal::sim

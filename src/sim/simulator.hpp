@@ -8,12 +8,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "sim/callback.hpp"
 #include "util/ids.hpp"
 #include "util/time.hpp"
 
@@ -23,7 +21,10 @@ using util::Duration;
 using util::TimePoint;
 
 /// Handle to a scheduled event, usable to cancel it (e.g. a fault-detector
-/// timeout that is superseded by a heartbeat).
+/// timeout that is superseded by a heartbeat). Encodes the event's slot and
+/// that slot's generation: once the event fires or is cancelled the slot's
+/// generation moves on, so a stale handle can never reach a later occupant.
+/// The default-constructed handle names no event.
 struct EventId {
   std::uint64_t value = 0;
   auto operator<=>(const EventId&) const = default;
@@ -33,6 +34,12 @@ struct EventId {
 ///
 /// Events scheduled for the same instant fire in scheduling order (FIFO),
 /// which keeps runs deterministic without relying on container tie-breaks.
+///
+/// Storage is a slab of slots (one per pending event, recycled through a
+/// free list) plus an indexed binary min-heap on (when, seq). Scheduling
+/// allocates nothing once the slab has grown to the peak pending count and
+/// the callable fits Callback's inline buffer; cancel() finds the heap entry
+/// through its slot and removes it in O(log n), with no hashing.
 class Simulator {
  public:
   Simulator() { recorder_.bind_clock(&now_); }
@@ -50,21 +57,25 @@ class Simulator {
   const obs::Recorder& recorder() const noexcept { return recorder_; }
 
   /// Schedules `fn` to run `delay` from now. Negative delays clamp to zero.
-  EventId schedule(Duration delay, std::function<void()> fn);
+  EventId schedule(Duration delay, Callback fn) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    return schedule_at(now_ + delay, std::move(fn));
+  }
 
   /// Schedules `fn` at an absolute instant (clamped to `now()`).
-  EventId schedule_at(TimePoint when, std::function<void()> fn);
+  EventId schedule_at(TimePoint when, Callback fn);
 
   /// Schedules `fn` at the current instant, after every event already queued
   /// for now() (the FIFO tie-break). The deterministic yield point the
   /// execution engine uses to drain a backlog of parked work one event at a
   /// time instead of recursing through it.
-  EventId defer(std::function<void()> fn) {
+  EventId defer(Callback fn) {
     return schedule(Duration(0), std::move(fn));
   }
 
-  /// Cancels a pending event; cancelling an already-fired or unknown event
-  /// is a harmless no-op (the common race with timeouts).
+  /// Cancels a pending event; cancelling an already-fired, already-cancelled
+  /// or never-issued event is a harmless no-op (the common race with
+  /// timeouts). The event's callable is destroyed immediately.
   void cancel(EventId id);
 
   /// Runs the next event, if any. Returns false when the queue is empty.
@@ -84,32 +95,44 @@ class Simulator {
   std::uint64_t events_executed() const noexcept { return executed_; }
 
   /// True when no events are pending.
-  bool idle() const noexcept { return queue_.size() == cancelled_.size(); }
+  bool idle() const noexcept { return heap_.empty(); }
 
   static constexpr std::size_t kDefaultEventLimit = 50'000'000;
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNone = UINT32_MAX;  // no heap position / no slot
+
+  struct HeapEntry {
     TimePoint when;
-    std::uint64_t seq;  // FIFO tie-break
-    EventId id;
+    std::uint64_t seq;   // FIFO tie-break: scheduling order
+    std::uint32_t slot;  // index into slots_
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
+  struct Slot {
+    Callback fn;
+    std::uint32_t generation = 1;    // bumped on release; never 0
+    std::uint32_t heap_pos = kNone;  // index into heap_ while pending
+    std::uint32_t next_free = kNone;  // free-list link while released
   };
 
+  static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
   bool fire_next();
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot) noexcept;
+  void place(std::size_t pos, const HeapEntry& e) noexcept;
+  void sift_up(std::size_t pos, HeapEntry e) noexcept;
+  void sift_down(std::size_t pos, HeapEntry e) noexcept;
+  void remove_at(std::size_t pos) noexcept;
 
   TimePoint now_{};
   obs::Recorder recorder_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_map<std::uint64_t, std::function<void()>> handlers_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNone;  // first released slot, if any
+  std::vector<HeapEntry> heap_;
 };
 
 }  // namespace eternal::sim

@@ -142,7 +142,6 @@ void TotemNode::crash() {
   gather_highest_view_ = 0;
   commit_.reset();
   ready_members_.clear();
-  last_heard_.clear();
   ancestor_rings_.clear();
   fresh_member_ = true;
 }
@@ -182,14 +181,13 @@ void TotemNode::on_frame(NodeId from, util::BytesView raw) {
   if (state_ == State::kDown) return;
   std::optional<Frame> frame = decode_frame(raw);
   if (!frame) return;
-  last_heard_[from] = sim_.now();
   if (state_ == State::kOperational) arm_token_timer();
 
   std::visit(
       [&](auto&& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, DataFrame>) {
-          handle_data(body);
+          handle_data(std::move(body));
         } else if constexpr (std::is_same_v<T, TokenFrame>) {
           handle_token(from, body);
         } else if constexpr (std::is_same_v<T, JoinFrame>) {
@@ -209,7 +207,7 @@ void TotemNode::on_frame(NodeId from, util::BytesView raw) {
 
 // ---------------------------------------------------------------- data path
 
-void TotemNode::handle_data(const DataFrame& f) {
+void TotemNode::handle_data(DataFrame&& f) {
   if (state_ == State::kJoining) return;  // no history yet; state transfer covers us
   if (f.ring_id != view_.ring_id && !known_ancestor(f.ring_id)) {
     // Sequenced by a ring whose history we do not continue (a healed
@@ -221,26 +219,26 @@ void TotemNode::handle_data(const DataFrame& f) {
   if (f.seq == 0) return;
   highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
   if (f.seq <= delivered_up_to_) return;  // already delivered
-  if (auto held = store_.find(f.seq); held != store_.end()) {
+  if (DataFrame* held = store_.find(f.seq)) {
     // Duplicate — unless it exposes a stale entry: a retransmission from a
     // member that *delivered* this sequence number carries the agreed
     // message, so a differing copy we stored under a superseded lineage
     // (the merged ring reassigned that number while we were cut off) is
     // stale and must be replaced before delivery reaches it.
     if (f.retransmission && f.authoritative &&
-        util::fnv1a(held->second.payload) != util::fnv1a(f.payload)) {
+        util::fnv1a(held->payload) != util::fnv1a(f.payload)) {
       ETERNAL_LOG(kWarn, kTag,
                   util::to_string(node_) << " replacing stale held frame at seq " << f.seq);
-      held->second = f;
+      *held = std::move(f);
       stats_.stale_frames_replaced += 1;
       if (rec_.tracing()) {
-        rec_.record(node_, obs::Layer::kTotem, "stale_replace", f.seq,
-                    "ring=" + std::to_string(f.ring_id));
+        rec_.record(node_, obs::Layer::kTotem, "stale_replace", held->seq,
+                    "ring=" + std::to_string(held->ring_id));
       }
     }
     return;
   }
-  store_.emplace(f.seq, f);
+  store_.emplace(std::move(f));
   advance_delivery();
 
   // Recovery exchange: once the wave of sequence numbers we last asked for
@@ -248,7 +246,7 @@ void TotemNode::handle_data(const DataFrame& f) {
   if (state_ == State::kRecovery && commit_.has_value() && !requested_missing_check_.empty()) {
     bool wave_done = true;
     for (std::uint64_t s : requested_missing_check_) {
-      if (s > delivered_up_to_ && store_.count(s) == 0) {
+      if (s > delivered_up_to_ && !store_.contains(s)) {
         wave_done = false;
         break;
       }
@@ -259,10 +257,10 @@ void TotemNode::handle_data(const DataFrame& f) {
 
 void TotemNode::advance_delivery() {
   while (true) {
-    auto it = store_.find(delivered_up_to_ + 1);
-    if (it == store_.end()) break;
+    const DataFrame* next = store_.find(delivered_up_to_ + 1);
+    if (next == nullptr) break;
     delivered_up_to_ += 1;
-    deliver_frame(it->second);
+    deliver_frame(*next);
   }
 }
 
@@ -370,7 +368,7 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
     token.aru = delivered_up_to_;
   }
   if (token.aru > config_.gc_margin) {
-    store_.erase(store_.begin(), store_.lower_bound(token.aru - config_.gc_margin));
+    store_.erase_below(token.aru - config_.gc_margin);
   }
 
   // 5. Pass to the successor.
@@ -486,7 +484,7 @@ void TotemNode::originate(DataFrame f) {
   broadcast(encode_frame(node_, f));
   stats_.fragments_sent += 1;
   highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
-  store_.emplace(f.seq, std::move(f));  // self-delivery
+  store_.emplace(std::move(f));  // self-delivery
 }
 
 std::size_t TotemNode::batch_window() const noexcept {
@@ -559,12 +557,12 @@ void TotemNode::serve_retransmissions(std::vector<std::uint64_t>& rtr) {
   std::vector<std::uint64_t> still_missing;
   still_missing.reserve(rtr.size());
   for (std::uint64_t seq : rtr) {
-    auto it = store_.find(seq);
-    if (it == store_.end()) {
+    const DataFrame* held = store_.find(seq);
+    if (held == nullptr) {
       still_missing.push_back(seq);
       continue;
     }
-    DataFrame copy = it->second;
+    DataFrame copy = *held;
     copy.retransmission = true;
     copy.authoritative = seq <= delivered_up_to_;
     broadcast(encode_frame(node_, copy));
@@ -581,7 +579,7 @@ void TotemNode::serve_retransmissions(std::vector<std::uint64_t>& rtr) {
 void TotemNode::request_missing(TokenFrame& token) {
   for (std::uint64_t seq = delivered_up_to_ + 1;
        seq < token.next_seq && token.rtr.size() < config_.max_rtr_per_token; ++seq) {
-    if (store_.count(seq) == 0 &&
+    if (!store_.contains(seq) &&
         std::find(token.rtr.begin(), token.rtr.end(), seq) == token.rtr.end()) {
       token.rtr.push_back(seq);
     }
@@ -777,14 +775,10 @@ void TotemNode::handle_commit(NodeId /*from*/, const CommitFrame& f) {
     // join reported them under the old ring id) and may reassign. Keeping
     // them would make handle_data drop the legitimate reassigned frames as
     // duplicates — the stale-store hazard.
-    const auto first_stale = store_.upper_bound(f.base_seq);
-    if (first_stale != store_.end()) {
-      const auto discarded =
-          static_cast<std::uint64_t>(std::distance(first_stale, store_.end()));
+    if (const std::uint64_t discarded = store_.erase_above(f.base_seq); discarded > 0) {
       ETERNAL_LOG(kInfo, kTag,
                   util::to_string(node_) << " discarding " << discarded
                                          << " stale held frames above base " << f.base_seq);
-      store_.erase(first_stale, store_.end());
       stats_.stale_frames_discarded += discarded;
       if (rec_.tracing()) {
         rec_.record(node_, obs::Layer::kTotem, "stale_discard", f.base_seq,
@@ -809,7 +803,7 @@ std::vector<std::uint64_t> TotemNode::compute_missing(std::uint64_t up_to) const
   if (fresh_member_) return missing;
   for (std::uint64_t seq = delivered_up_to_ + 1;
        seq <= up_to && missing.size() < config_.max_rtr_per_token; ++seq) {
-    if (store_.count(seq) == 0) missing.push_back(seq);
+    if (!store_.contains(seq)) missing.push_back(seq);
   }
   return missing;
 }
@@ -825,13 +819,12 @@ void TotemNode::send_ready() {
   // from a superseded lineage is detected and corrected by an authoritative
   // rebroadcast instead of silently shadowing the agreed message.
   if (!fresh_member_) {
-    for (auto it = store_.upper_bound(delivered_up_to_);
-         it != store_.end() && it->first <= commit_->base_seq &&
-         f.held_seqs.size() < config_.max_rtr_per_token;
-         ++it) {
-      f.held_seqs.push_back(it->first);
-      f.held_digests.push_back(util::fnv1a(it->second.payload));
-    }
+    store_.for_each(delivered_up_to_ + 1, commit_->base_seq, [&](const DataFrame& held) {
+      if (f.held_seqs.size() >= config_.max_rtr_per_token) return false;
+      f.held_seqs.push_back(held.seq);
+      f.held_digests.push_back(util::fnv1a(held.payload));
+      return true;
+    });
   }
   broadcast(encode_frame(node_, f));
   if (f.missing.empty()) {
@@ -851,10 +844,10 @@ void TotemNode::handle_ready(NodeId from, const ReadyFrame& f) {
   for (std::size_t i = 0; i < f.held_seqs.size(); ++i) {
     const std::uint64_t seq = f.held_seqs[i];
     if (seq > delivered_up_to_) continue;  // not delivered here: no authority
-    auto it = store_.find(seq);
-    if (it == store_.end()) continue;  // garbage-collected
-    if (util::fnv1a(it->second.payload) == f.held_digests[i]) continue;
-    DataFrame copy = it->second;
+    const DataFrame* held = store_.find(seq);
+    if (held == nullptr) continue;  // garbage-collected
+    if (util::fnv1a(held->payload) == f.held_digests[i]) continue;
+    DataFrame copy = *held;
     copy.retransmission = true;
     copy.authoritative = true;  // seq <= delivered_up_to_ checked above
     broadcast(encode_frame(node_, copy));
@@ -873,9 +866,9 @@ void TotemNode::handle_ready(NodeId from, const ReadyFrame& f) {
   }
   // Serve what we hold.
   for (std::uint64_t seq : f.missing) {
-    auto it = store_.find(seq);
-    if (it == store_.end()) continue;
-    DataFrame copy = it->second;
+    const DataFrame* held = store_.find(seq);
+    if (held == nullptr) continue;
+    DataFrame copy = *held;
     copy.retransmission = true;
     copy.authoritative = seq <= delivered_up_to_;
     broadcast(encode_frame(node_, copy));
@@ -1047,7 +1040,7 @@ void TotemNode::arm_recovery_timer() {
         // Keep entries at or below the commit base for serving other
         // recovering members; anything above it belongs to a sequence range
         // the reformed ring may reassign and must not be replayed.
-        store_.erase(store_.upper_bound(commit_->base_seq), store_.end());
+        store_.erase_above(commit_->base_seq);
         partial_.clear();
         stats_.forced_demotions += 1;
         recovery_stalls_ = 0;

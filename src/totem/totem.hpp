@@ -23,12 +23,12 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
+#include "totem/frame_store.hpp"
 #include "totem/frames.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -201,7 +201,7 @@ class TotemNode : public sim::Station {
   };
 
   // ---- frame handlers ----
-  void handle_data(const DataFrame& f);
+  void handle_data(DataFrame&& f);
   void handle_token(NodeId from, TokenFrame token);
   void handle_join(NodeId from, const JoinFrame& f);
   void handle_commit(NodeId from, const CommitFrame& f);
@@ -260,7 +260,7 @@ class TotemNode : public sim::Station {
 
   // Sequencing / delivery.
   std::uint64_t delivered_up_to_ = 0;  ///< aru: contiguous prefix delivered
-  std::map<std::uint64_t, DataFrame> store_;  ///< frames by seq (delivery + rtx)
+  FrameStore store_;  ///< frames by seq (delivery + rtx)
   std::map<std::pair<std::uint32_t, std::uint64_t>, util::Bytes> partial_;  ///< reassembly
   std::deque<PendingFragment> send_queue_;
   std::uint64_t next_msg_id_ = 1;
@@ -297,7 +297,6 @@ class TotemNode : public sim::Station {
   std::uint32_t recovery_stalls_ = 0;     ///< consecutive no-progress recovery rounds
   std::size_t last_stall_missing_ = 0;    ///< missing count at the previous stall
 
-  std::unordered_map<NodeId, TimePoint> last_heard_;
   TotemStats stats_;
 
   // Observability (src/obs/). Instruments are resolved once at construction

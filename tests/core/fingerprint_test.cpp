@@ -1,0 +1,388 @@
+// Virtual-behaviour fingerprints.
+//
+// determinism_test proves that one build replays a seed byte-identically.
+// This suite pins same-seed behaviour *across builds*: eight short canonical
+// scenarios each reduce their trace stream and their per-client reply
+// schedule to 64-bit digests, compared with the goldens in
+// tests/data/fingerprints.txt. A host-speed or refactoring change (event
+// queue, frame store, codecs) must leave every golden untouched; a change
+// that alters virtual behaviour on purpose regenerates them with
+//
+//   ETERNAL_FINGERPRINT_UPDATE=1 ./tests/fingerprint_test
+//
+// (run from the build tree; it rewrites the golden file in the source tree)
+// and says why in CHANGES.md.
+//
+// A golden line also records the number of simulator events the run
+// executed. It is not observable behaviour, but a host-speed change must
+// not alter it either: same schedule calls, same order, same tie-breaks.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/deployment.hpp"
+#include "support/counter_servant.hpp"
+
+#ifndef ETERNAL_TEST_DATA_DIR
+#error "ETERNAL_TEST_DATA_DIR must name tests/data"
+#endif
+
+namespace eternal {
+namespace {
+
+using core::FtProperties;
+using core::ReplicationStyle;
+using core::System;
+using core::SystemConfig;
+using test_support::CounterServant;
+using util::Duration;
+using util::GroupId;
+using util::NodeId;
+
+constexpr Duration kMs{1'000'000};
+constexpr Duration kUs{1'000};
+
+const std::string kGoldenPath = std::string(ETERNAL_TEST_DATA_DIR) + "/fingerprints.txt";
+
+/// Incremental 64-bit FNV-1a over text fields.
+class Digest {
+ public:
+  void add(std::string_view s) {
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ull;
+    }
+    h_ ^= 0xff;  // field separator, so ("ab","c") != ("a","bc")
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+struct Fingerprint {
+  std::uint64_t trace = 0;    ///< digest of the exported trace stream
+  std::uint64_t replies = 0;  ///< digest of every client's reply schedule
+  std::uint64_t events = 0;   ///< simulator events executed
+
+  std::string line(const std::string& name) const {
+    std::ostringstream os;
+    os << name << " trace=" << std::hex << trace << " replies=" << replies << std::dec
+       << " events=" << events;
+    return os.str();
+  }
+};
+
+/// One scenario's system plus the reply bookkeeping every scenario shares.
+class Rig {
+ public:
+  explicit Rig(SystemConfig cfg) : sys_(with_trace(std::move(cfg))) {}
+
+  System& sys() noexcept { return sys_; }
+
+  /// Deploys a counter group on `placement`; returns the group.
+  GroupId deploy_counter(const std::string& name, const FtProperties& props,
+                         const std::vector<NodeId>& placement, std::size_t pad = 0,
+                         std::vector<NodeId> backups = {}) {
+    return sys_.deploy(
+        name, "IDL:Counter:1.0", props, placement,
+        [this, pad](NodeId) { return std::make_shared<CounterServant>(sys_.sim(), pad); },
+        std::move(backups));
+  }
+
+  /// Adds a client, on `node`, bound to every group in `targets`.
+  void add_client(const std::string& tag, NodeId node, const std::vector<GroupId>& targets) {
+    sys_.deploy_client(tag, node, targets);
+    for (GroupId g : targets) clients_.push_back(Client{tag, sys_.client(node, g)});
+  }
+
+  /// Issues `count` "inc" invocations `gap` apart, round-robin over the
+  /// clients, then runs until every one of them has been answered.
+  void burst(int count, Duration gap) {
+    const util::TimePoint start = sys_.sim().now();
+    for (int i = 0; i < count; ++i) {
+      const std::size_t c = static_cast<std::size_t>(i) % clients_.size();
+      sys_.sim().schedule_at(start + gap * i, [this, c, i] { invoke(c, i + 1); });
+    }
+    issued_ += count;
+    ASSERT_TRUE(sys_.run_until([this] { return answered_ == issued_; }, 5'000 * kMs))
+        << answered_ << " of " << issued_ << " invocations answered";
+  }
+
+  Fingerprint finish() {
+    const obs::TraceBuffer* trace = sys_.trace();
+    EXPECT_EQ(trace->dropped(), 0u) << "trace buffer too small for the scenario";
+    Digest t;
+    t.add(trace->to_json());
+    Fingerprint fp;
+    fp.trace = t.value();
+    fp.replies = replies_.value();
+    fp.events = sys_.sim().events_executed();
+    return fp;
+  }
+
+ private:
+  struct Client {
+    std::string tag;
+    orb::ObjectRef ref;
+  };
+
+  static SystemConfig with_trace(SystemConfig cfg) {
+    cfg.trace_capacity = 1u << 19;
+    return cfg;
+  }
+
+  void invoke(std::size_t c, std::int32_t delta) {
+    const std::uint64_t k = ++sent_[c];
+    clients_[c].ref.invoke(
+        "inc", CounterServant::encode_i32(delta), [this, c, k](const orb::ReplyOutcome& out) {
+          ++answered_;
+          std::ostringstream os;
+          os << clients_[c].tag << '/' << c << '#' << k << '@'
+             << sys_.sim().now().count() << " status="
+             << static_cast<int>(out.status) << " body=" << util::fnv1a(out.body);
+          replies_.add(os.str());
+        });
+  }
+
+  System sys_;
+  std::vector<Client> clients_;
+  std::map<std::size_t, std::uint64_t> sent_;
+  int issued_ = 0;
+  int answered_ = 0;
+  Digest replies_;
+};
+
+FtProperties active(std::uint32_t replicas) {
+  FtProperties props;
+  props.style = ReplicationStyle::kActive;
+  props.initial_replicas = replicas;
+  props.minimum_replicas = 1;
+  return props;
+}
+
+/// Active pair on nodes 1 and 2, clients on 3 and 4, no faults.
+Fingerprint clean() {
+  SystemConfig cfg;
+  cfg.seed = 11;
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}});
+  rig.add_client("a", NodeId{3}, {g});
+  rig.add_client("b", NodeId{4}, {g});
+  rig.burst(120, 100 * kUs);
+  return rig.finish();
+}
+
+/// The clean workload over a medium that drops 5 % of frames: token
+/// retransmission requests and authoritative re-sends. A 16-frame GC margin
+/// makes garbage collection of held frames run throughout.
+Fingerprint lossy() {
+  SystemConfig cfg;
+  cfg.seed = 23;
+  cfg.totem.gc_margin = 16;
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}});
+  rig.add_client("a", NodeId{3}, {g});
+  rig.add_client("b", NodeId{4}, {g});
+  rig.sys().ethernet().set_loss_probability(0.05);
+  rig.burst(120, 100 * kUs);
+  std::uint64_t retransmissions = 0;
+  for (NodeId n : rig.sys().all_nodes()) {
+    retransmissions += rig.sys().totem(n).stats().retransmissions;
+  }
+  EXPECT_GT(retransmissions, 0u);
+  return rig.finish();
+}
+
+/// A bystander ring member crashes mid-run: gather, commit, recovery
+/// exchange and install, with traffic before and after.
+Fingerprint reformation() {
+  SystemConfig cfg;
+  cfg.nodes = 5;
+  cfg.seed = 37;
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}});
+  rig.add_client("a", NodeId{3}, {g});
+  rig.add_client("b", NodeId{4}, {g});
+  rig.burst(20, 200 * kUs);
+  rig.sys().crash_node(NodeId{5});
+  rig.burst(20, 200 * kUs);
+  EXPECT_EQ(rig.sys().totem(NodeId{1}).view().members.size(), 4u);
+  return rig.finish();
+}
+
+/// Kill and relaunch one replica of an active pair with 8 kB of state;
+/// `tune` picks the state-transfer carrier.
+template <typename Tune, typename Check>
+Fingerprint kill_relaunch(std::uint64_t seed, Tune tune, Check check) {
+  SystemConfig cfg;
+  cfg.seed = seed;
+  tune(cfg);
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}}, 8'000);
+  rig.add_client("a", NodeId{3}, {g});
+  rig.add_client("b", NodeId{4}, {g});
+  rig.burst(10, 300 * kUs);
+  rig.sys().kill_replica(NodeId{2}, g);
+  rig.burst(10, 300 * kUs);
+  rig.sys().relaunch_replica(NodeId{2}, g);
+  rig.burst(20, 300 * kUs);
+  EXPECT_TRUE(rig.sys().run_until(
+      [&] { return rig.sys().mech(NodeId{2}).hosts_operational(g); }, 2'000 * kMs));
+  rig.burst(10, 300 * kUs);
+  check(rig.sys().mech(NodeId{2}).stats());
+  return rig.finish();
+}
+
+/// In-band chunked state transfer (512 B chunks).
+Fingerprint chunked() {
+  return kill_relaunch(
+      41, [](SystemConfig& cfg) { cfg.mechanisms.state_chunk_bytes = 512; },
+      [](const core::MechanismsStats& s) { EXPECT_GT(s.state_chunks_received, 0u); });
+}
+
+/// Out-of-band bulk lane (1 kB extents) with the chunked control path.
+Fingerprint bulk() {
+  return kill_relaunch(
+      43,
+      [](SystemConfig& cfg) {
+        cfg.mechanisms.state_chunk_bytes = 512;
+        cfg.mechanisms.bulk_lane = true;
+        cfg.mechanisms.bulk_extent_bytes = 1024;
+      },
+      [](const core::MechanismsStats& s) { EXPECT_GT(s.bulk_transfers_completed, 0u); });
+}
+
+/// Warm-passive group with chained delta checkpoints: the primary is
+/// killed (promotion replays checkpoint + deltas + log) and relaunched.
+Fingerprint delta() {
+  SystemConfig cfg;
+  cfg.seed = 47;
+  cfg.mechanisms.delta_chain_cap = 4;
+  Rig rig(cfg);
+  FtProperties props;
+  props.style = ReplicationStyle::kWarmPassive;
+  props.checkpoint_interval = 10 * kMs;
+  props.fault_monitoring_interval = 5 * kMs;
+  props.initial_replicas = 2;
+  props.minimum_replicas = 1;
+  const GroupId g = rig.deploy_counter("ledger", props, {NodeId{1}, NodeId{2}}, 2'000,
+                                       {NodeId{2}, NodeId{3}});
+  rig.add_client("a", NodeId{4}, {g});
+  for (int round = 0; round < 4; ++round) {
+    rig.burst(5, 500 * kUs);
+    rig.sys().run_for(12 * kMs);
+  }
+  rig.sys().kill_replica(NodeId{1}, g);
+  rig.burst(10, 500 * kUs);
+  rig.sys().relaunch_replica(NodeId{1}, g);
+  rig.sys().run_for(50 * kMs);
+  rig.burst(10, 500 * kUs);
+  EXPECT_GT(rig.sys().mech(NodeId{2}).stats().delta_checkpoints_applied, 0u);
+  EXPECT_GT(rig.sys().mech(NodeId{2}).stats().promotions, 0u);
+  return rig.finish();
+}
+
+/// Four independent rings, one active pair placed on each, and two
+/// clients bound to all four groups.
+Fingerprint rings4() {
+  SystemConfig cfg;
+  cfg.seed = 53;
+  cfg.placement.rings = 4;
+  Rig rig(cfg);
+  std::vector<GroupId> groups;
+  for (int i = 0; i < 4; ++i) {
+    groups.push_back(rig.deploy_counter("counter-" + std::to_string(i), active(2),
+                                        {NodeId{1}, NodeId{2}}));
+  }
+  rig.add_client("a", NodeId{3}, groups);
+  rig.add_client("b", NodeId{4}, groups);
+  rig.burst(64, 100 * kUs);
+  std::set<std::uint32_t> rings;
+  for (GroupId g : groups) rings.insert(rig.sys().ring_of(g));
+  EXPECT_GT(rings.size(), 1u) << "every group landed on one ring";
+  return rig.finish();
+}
+
+/// The FOM execution engine at concurrency 4, with invocations arriving
+/// faster than one execution so several overlap.
+Fingerprint fom_c4() {
+  SystemConfig cfg;
+  cfg.seed = 59;
+  cfg.mechanisms.exec_engine = true;
+  cfg.mechanisms.exec_concurrency = 4;
+  cfg.orb.poa_max_inflight = 4;
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}});
+  rig.add_client("a", NodeId{3}, {g});
+  rig.add_client("b", NodeId{4}, {g});
+  rig.burst(40, 40 * kUs);
+  const core::exec::ReplicaEngine* engine = rig.sys().mech(NodeId{1}).engine_of(g);
+  EXPECT_TRUE(engine != nullptr && engine->stats().max_inflight > 1)
+      << "concurrency 4 never overlapped executions";
+  return rig.finish();
+}
+
+struct Scenario {
+  const char* name;
+  Fingerprint (*run)();
+};
+
+const Scenario kScenarios[] = {
+    {"clean", clean},     {"lossy", lossy}, {"reformation", reformation},
+    {"chunked", chunked}, {"bulk", bulk},   {"delta", delta},
+    {"rings4", rings4},   {"fom_c4", fom_c4},
+};
+
+std::map<std::string, std::string> load_goldens() {
+  std::map<std::string, std::string> goldens;
+  std::ifstream in(kGoldenPath);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    goldens[line.substr(0, line.find(' '))] = line;
+  }
+  return goldens;
+}
+
+TEST(Fingerprint, CanonicalScenariosMatchGoldens) {
+  const bool update = std::getenv("ETERNAL_FINGERPRINT_UPDATE") != nullptr;
+  const std::map<std::string, std::string> goldens = load_goldens();
+  if (!update) {
+    ASSERT_FALSE(goldens.empty()) << "no goldens in " << kGoldenPath;
+  }
+
+  std::vector<std::string> lines;
+  for (const Scenario& s : kScenarios) {
+    SCOPED_TRACE(s.name);
+    const Fingerprint fp = s.run();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    lines.push_back(fp.line(s.name));
+    if (update) continue;
+    const auto it = goldens.find(s.name);
+    ASSERT_NE(it, goldens.end()) << "no golden for scenario " << s.name;
+    EXPECT_EQ(lines.back(), it->second)
+        << "virtual behaviour moved; if intended, regenerate the goldens "
+           "(ETERNAL_FINGERPRINT_UPDATE=1) and justify it in CHANGES.md";
+  }
+
+  if (update) {
+    std::ofstream out(kGoldenPath);
+    out << "# Virtual-behaviour fingerprints (tests/core/fingerprint_test.cpp).\n"
+           "# <scenario> trace=<fnv1a of trace JSON> replies=<fnv1a of reply "
+           "schedule> events=<simulator events executed>\n";
+    for (const std::string& l : lines) out << l << '\n';
+    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
+  }
+}
+
+}  // namespace
+}  // namespace eternal

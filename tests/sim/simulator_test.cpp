@@ -1,6 +1,13 @@
-// Discrete-event core: ordering, cancellation, determinism.
+// Discrete-event core: ordering, cancellation, handle generations, and a
+// randomized differential check against a (when, seq)-ordered reference.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <map>
+#include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -123,6 +130,176 @@ TEST(Simulator, StepExecutesExactlyOne) {
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
   EXPECT_EQ(count, 2);
+}
+
+TEST(Simulator, StaleHandleDoesNotCancelSlotsNextOccupant) {
+  Simulator sim;
+  const EventId first = sim.schedule(Duration(10), [] {});
+  sim.cancel(first);  // frees the slot
+  bool fired = false;
+  const EventId second = sim.schedule(Duration(10), [&] { fired = true; });
+  EXPECT_NE(first, second);  // same slot, new generation
+  sim.cancel(first);         // stale: must not touch `second`
+  sim.run();
+  EXPECT_TRUE(fired);
+
+  // The same holds for a handle whose event already fired.
+  int count = 0;
+  const EventId fired_id = sim.schedule(Duration(1), [&] { ++count; });
+  sim.run();
+  sim.schedule(Duration(1), [&] { ++count; });
+  sim.cancel(fired_id);
+  sim.run();
+  EXPECT_EQ(count, 2);
+}
+
+TEST(Simulator, HandlerMayCancelItselfAndSameInstantSibling) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId self{};
+  EventId sibling{};
+  self = sim.schedule(Duration(5), [&] {
+    order.push_back(1);
+    sim.cancel(self);     // already running: a no-op
+    sim.cancel(sibling);  // queued for this same instant: removed
+    sim.schedule(Duration::zero(), [&] { order.push_back(3); });
+  });
+  sibling = sim.schedule(Duration(5), [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, DefaultAndNeverIssuedIdsAreNoops) {
+  Simulator sim;
+  sim.cancel(EventId{});  // empty queue
+  int count = 0;
+  sim.schedule(Duration(1), [&] { ++count; });
+  sim.schedule(Duration(2), [&] { ++count; });
+  sim.cancel(EventId{});
+  sim.cancel(EventId{1});                 // slot 1, generation 0: never issued
+  sim.cancel(EventId{(7ull << 32) | 0});  // slot 0, a generation not yet reached
+  sim.cancel(EventId{(1ull << 32) | 999});  // slot beyond the slab
+  EXPECT_FALSE(sim.idle());
+  sim.run();
+  EXPECT_EQ(count, 2);
+}
+
+TEST(Simulator, IdleAfterLastPendingEventCancelled) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(sim.schedule(Duration(i * 10), [] {}));
+  sim.run_until(TimePoint(10));  // fires the events at 0 and 10
+  for (std::size_t i = 2; i < ids.size(); ++i) {
+    EXPECT_FALSE(sim.idle());
+    sim.cancel(ids[i]);
+  }
+  EXPECT_TRUE(sim.idle());
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(Simulator, CallablesOfAnySizeAndMoveOnlyCapturesRun) {
+  Simulator sim;
+  int sum = 0;
+  auto owned = std::make_unique<int>(7);  // move-only capture
+  sim.schedule(Duration(1), [&sum, p = std::move(owned)] { sum += *p; });
+  std::vector<int> big(64, 1);
+  std::array<char, 4 * Callback::kInlineBytes> pad{};  // forces the heap fallback
+  sim.schedule(Duration(2), [&sum, big, pad] { sum += static_cast<int>(big.size()) + pad[0]; });
+  std::function<void()> fn = [&sum] { sum += 100; };  // std::function converts
+  sim.schedule(Duration(3), fn);
+  sim.run();
+  EXPECT_EQ(sum, 7 + 64 + 100);
+}
+
+TEST(Simulator, CancelAndTeardownReleaseCapturedState) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    const EventId inline_id = sim.schedule(Duration(1), [token] {});
+    std::array<char, 4 * Callback::kInlineBytes> pad{};
+    const EventId heap_id = sim.schedule(Duration(1), [token, pad] { (void)pad; });
+    sim.schedule(Duration(1), [token] {});  // still pending at teardown
+    EXPECT_EQ(token.use_count(), 4);
+    sim.cancel(inline_id);
+    sim.cancel(heap_id);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// Randomized differential test: >= 100k mixed schedule / cancel / run_until
+// operations against a reference that keeps pending events in a std::map
+// ordered by (when, seq). Every real firing pops the reference's earliest
+// event and must match it. Handlers sometimes schedule a child (nested
+// scheduling, including at the current instant) or cancel an earlier event
+// that may already have fired or been cancelled (a stale handle whose slot
+// has since been reused).
+TEST(Simulator, RandomizedDifferentialAgainstOrderedReference) {
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when, seq)
+  Simulator sim;
+  std::mt19937_64 rng(20240517);
+  std::map<Key, int> pending;  // reference queue: key → tag
+  std::map<int, Key> key_of;   // live tag → key
+  std::uint64_t ref_seq = 0;
+  std::vector<EventId> id_of;  // tag → handle
+  std::vector<int> victim_of;  // tag → tag its handler cancels (-1: none)
+  std::uint64_t fired = 0;
+  std::uint64_t mismatches = 0;
+
+  auto cancel_both = [&](int tag) {
+    sim.cancel(id_of[static_cast<std::size_t>(tag)]);
+    if (auto it = key_of.find(tag); it != key_of.end()) {
+      pending.erase(it->second);
+      key_of.erase(it);
+    }
+  };
+  std::function<void(std::int64_t)> schedule_both = [&](std::int64_t delay) {
+    const int tag = static_cast<int>(id_of.size());
+    victim_of.push_back(tag > 0 && rng() % 8 == 0 ? static_cast<int>(rng() % tag) : -1);
+    const Key key{sim.now().count() + delay, ref_seq++};
+    pending.emplace(key, tag);
+    key_of.emplace(tag, key);
+    id_of.push_back(sim.schedule(Duration(delay), [&, tag] {
+      ++fired;
+      if (pending.empty()) {
+        ++mismatches;  // the reference has nothing left to fire
+        return;
+      }
+      const auto [key, want] = *pending.begin();
+      if (want != tag || key.first != sim.now().count()) ++mismatches;
+      pending.erase(pending.begin());
+      key_of.erase(want);
+      if (victim_of[static_cast<std::size_t>(tag)] >= 0) {
+        cancel_both(victim_of[static_cast<std::size_t>(tag)]);
+      }
+      if (tag % 5 == 0) schedule_both(tag % 3 == 0 ? 0 : tag % 17);
+    }));
+  };
+
+  for (int op = 0; op < 120'000; ++op) {
+    const std::uint64_t r = rng() % 100;
+    if (r < 60 || id_of.empty()) {
+      schedule_both(static_cast<std::int64_t>(rng() % 50));
+    } else if (r < 85) {
+      cancel_both(static_cast<int>(rng() % id_of.size()));
+    } else {
+      const TimePoint deadline = sim.now() + Duration(static_cast<std::int64_t>(rng() % 30));
+      sim.run_until(deadline);
+      ASSERT_EQ(mismatches, 0u) << "firing order diverged by op " << op;
+      ASSERT_TRUE(pending.empty() || pending.begin()->first.first > deadline.count())
+          << "run_until left a due event unfired at op " << op;
+      ASSERT_EQ(sim.now(), deadline);
+      ASSERT_EQ(sim.idle(), pending.empty());
+    }
+  }
+  sim.run();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(pending.empty());
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.events_executed(), fired);
+  EXPECT_GT(fired, 30'000u);
 }
 
 }  // namespace
