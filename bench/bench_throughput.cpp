@@ -162,10 +162,11 @@ Row run_baseline(double rate) {
 // Slow-servant head-of-line scenario (FOM execution engine).
 //
 // One 50 ms operation fired every ~100 ms shares the object with a fast
-// 400 us bystander stream at utilisation ~0.9. Under the synchronous
-// upcall path the combined utilisation exceeds 1, so the run-queue grows
-// for the whole run and bystander latency diverges with it. Under the
-// FOM engine (exec_concurrency / poa_max_inflight >> 1) bystanders
+// 400 us bystander stream at utilisation ~0.9. With serialized execution
+// (mode "sync": exec_concurrency 1, the former synchronous upcall path) the
+// combined utilisation exceeds 1, so the run-queue grows for the whole run
+// and bystander latency diverges with it. With exec_concurrency >> 1 (and
+// the matching POA admission window core::System derives from it) bystanders
 // execute concurrently with the slow operation; the in-order reply
 // sequencer still parks their replies behind it, so bystander p99 is
 // bounded by the *remaining* slow-op time (~50 ms), not by the backlog.
@@ -184,12 +185,10 @@ struct ExecRow {
   bool drained;
 };
 
-ExecRow run_slow_servant(bool engine) {
+ExecRow run_slow_servant(std::size_t concurrency) {
   SystemConfig cfg;
   cfg.nodes = 2;
-  cfg.mechanisms.exec_engine = engine;
-  cfg.mechanisms.exec_concurrency = engine ? 1024 : 1;
-  cfg.orb.poa_max_inflight = engine ? 1024 : 1;
+  cfg.mechanisms.exec_concurrency = concurrency;
   System sys(cfg);
   FtProperties props;
   props.style = ReplicationStyle::kActive;
@@ -283,7 +282,8 @@ int main(int argc, char** argv) {
               "the group communication layer is not the bottleneck.\n");
   results.write_file("BENCH_throughput.json");
 
-  // Slow-servant head-of-line scenario: sync upcalls vs the FOM engine.
+  // Slow-servant head-of-line scenario: serialized (concurrency 1) vs
+  // overlapped (concurrency 1024) FOM execution.
   // Runs in smoke mode too — the acceptance gate reads BENCH_exec_engine.json.
   std::printf("\nslow-servant head-of-line (50 ms op every ~100 ms + 400 us bystanders):\n");
   std::printf("%12s %12s %9s %9s %9s %9s %9s\n", "mode", "bystander/s", "mean_ms",
@@ -304,8 +304,8 @@ int main(int argc, char** argv) {
         .col("backlog", r.backlog)
         .col("drained", std::uint64_t{r.drained ? 1u : 0u});
   };
-  const ExecRow sync_row = run_slow_servant(/*engine=*/false);
-  const ExecRow fom_row = run_slow_servant(/*engine=*/true);
+  const ExecRow sync_row = run_slow_servant(1);
+  const ExecRow fom_row = run_slow_servant(1024);
   emit_exec("sync", sync_row);
   emit_exec("fom", fom_row);
   const double ratio = sync_row.bystander_p99_ms > 0.0
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
   exec_results.row().col("mode", "ratio").col("bystander_p99_fom_over_sync", ratio);
   std::printf("bystander p99 ratio fom/sync = %.3f (engine overlaps the slow op;\n"
               "the reply sequencer bounds bystanders by the remaining slow-op time,\n"
-              "while the sync path's run-queue backlog diverges)\n",
+              "while the serialized run-queue backlog diverges)\n",
               ratio);
   exec_results.write_file("BENCH_exec_engine.json");
   return 0;

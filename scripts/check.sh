@@ -27,8 +27,10 @@ echo "== chaos scenario matrix (smoke) =="
 
 echo
 echo "== exec-engine slow-servant bench (smoke) =="
-# Sync-vs-FOM head-of-line row; writes BENCH_exec_engine.json next to the
-# other BENCH_* artifacts (acceptance: fom bystander p99 < 0.5x sync).
+# Slow-servant head-of-line rows: "sync" is the FOM engine at concurrency 1
+# (serialized execution), "fom" at concurrency 1024; writes
+# BENCH_exec_engine.json next to the other BENCH_* artifacts (acceptance:
+# fom bystander p99 < 0.5x sync).
 (cd build && ./bench/bench_throughput --smoke)
 
 echo
@@ -69,21 +71,26 @@ cmake -B build-asan -S . -DETERNAL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   sim_test totem_test totem_protocol_test fingerprint_test \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
+  passive_test critpath_test \
   batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
   chaos_script_test fleet_stats_test
 # sim_test and totem_test hold the event-queue and frame-store differential
 # tests: sim::Callback placement-news callables into raw slot storage and
 # the frame store recycles ring slots, so both run under the sanitizers.
+# passive_test and critpath_test: promotion and cold-restart log replay run
+# on the engine's grace timers and reply sequencer, as does every request.
 for t in sim_test totem_test totem_protocol_test fingerprint_test \
          obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-         chaos_script_test fleet_stats_test; do
+         passive_test critpath_test chaos_script_test fleet_stats_test; do
   "build-asan/tests/$t"
 done
 # Batch packing/unpacking moves raw payload bytes on the hot path; run the
 # fast ordering-equivalence seeds under the sanitizers too.
 "build-asan/tests/batching_equivalence_test" --gtest_filter='BatchingEquivalenceFast.*'
-# FOM engine conformance: the fast seeds exercise the full enqueue/phase/
-# reply-sequencer machinery (including the overlap scenario) under ASan/UBSan.
+# FOM engine conformance: the fast seeds hold the engine at concurrency 1 to
+# the recorded synchronous-path reference and exercise the full enqueue/
+# phase/reply-sequencer machinery (including the overlap scenario) under
+# ASan/UBSan.
 "build-asan/tests/exec_conformance_test" --gtest_filter='ExecConformanceFast.*'
 # Bulk-lane conformance: the fast seeds move real extent payloads over the
 # lane (descriptor/ack/marker, digest stash, fallback) under ASan/UBSan.

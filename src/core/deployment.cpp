@@ -55,6 +55,9 @@ System::System(SystemConfig config)
     NodeSlot s;
     s.id = id;
     s.orb = std::make_unique<orb::Orb>(sim_, id, config_.orb);
+    // The POA admits as many concurrent dispatches per object as the
+    // replica engine admits FOMs; otherwise admitted FOMs queue in the POA.
+    s.orb->root_poa().set_max_inflight(config_.mechanisms.exec_concurrency);
     s.tap = std::make_unique<interceptor::Interceptor>(*s.orb);
     s.tap->bind_recorder(sim_.recorder());
     s.orb->plug_transport(*s.tap);

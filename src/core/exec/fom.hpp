@@ -31,17 +31,6 @@ enum class FomPhase : std::uint8_t {
   kDone,     ///< retired through the in-order reply sequencer
 };
 
-inline const char* to_string(FomPhase p) {
-  switch (p) {
-    case FomPhase::kDecode: return "decode";
-    case FomPhase::kExecute: return "execute";
-    case FomPhase::kLog: return "log";
-    case FomPhase::kReply: return "reply";
-    case FomPhase::kDone: return "done";
-  }
-  return "?";
-}
-
 /// One in-flight request state machine. `position` is assigned at admission,
 /// strictly in run-queue (total-order) order, and is the key the in-order
 /// reply sequencer retires by.

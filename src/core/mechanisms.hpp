@@ -75,10 +75,6 @@ struct MechanismsConfig {
   /// must survive the logging processor), enabling restore_from_storage()
   /// after a total failure or whole-system restart.
   std::string stable_storage_dir;
-  /// Legacy persistence: rewrite the whole base record on every logged
-  /// message instead of appending one segment entry (kept selectable for
-  /// the storage-cost comparison benchmarks).
-  bool storage_legacy_rewrite = false;
   /// Segment entries per batched sync (stable-storage append mode).
   std::uint32_t storage_sync_every = 8;
 
@@ -113,18 +109,14 @@ struct MechanismsConfig {
   /// the in-band chunked path.
   std::size_t bulk_max_retries = 8;
 
-  // ---- non-blocking execution engine (off = seed synchronous upcalls) ----
-  /// Run delivered requests as run-to-completion FOMs: agreed delivery only
-  /// enqueues at the total-order position; a per-replica engine drains the
-  /// run queue through explicit phases and emits replies strictly in
-  /// total-order position (src/core/exec/). With exec_concurrency == 1 the
-  /// observable behaviour is identical to the synchronous path — proven by
-  /// tests/core/exec_conformance_test.cpp.
-  bool exec_engine = false;
-  /// Execution FOMs admitted concurrently per replica. Values > 1 require
-  /// the hosting ORB to admit as many POA dispatches per object
-  /// (OrbConfig::poa_max_inflight), otherwise admitted FOMs just queue
-  /// inside the POA.
+  // ---- execution engine (src/core/exec/) ----
+  /// Request FOMs admitted concurrently per replica. Every delivered or
+  /// replayed request runs as a run-to-completion FOM; a per-replica engine
+  /// drains the run queue and emits replies strictly in total-order
+  /// position. 1 (the default) serializes execution exactly like the
+  /// paper's single-threaded object — tests/core/exec_conformance_test.cpp
+  /// holds it to the recorded synchronous-upcall behaviour. core::System
+  /// sizes each node ORB's POA admission window to the same value.
   std::size_t exec_concurrency = 1;
 };
 
@@ -281,8 +273,8 @@ class Mechanisms final : public interceptor::Diversion,
   /// Mutable access for chaos fault injection (StableStorage::inject_faults).
   class StableStorage* storage() noexcept { return storage_.get(); }
 
-  /// The execution engine of the local replica of `group`; nullptr when the
-  /// engine is disabled or no replica is hosted here (tests/benches).
+  /// The execution engine of the local replica of `group`; nullptr when no
+  /// replica is hosted here (tests/benches).
   const exec::ReplicaEngine* engine_of(GroupId group) const;
 
   /// True when this node hosts a replica of `group` in the given phase.
@@ -347,38 +339,42 @@ class Mechanisms final : public interceptor::Diversion,
     Envelope env;
     std::uint64_t trace = 0;  ///< causal trace id (obs/spans.hpp), 0 = untraced
     std::uint64_t span = 0;   ///< open "deliver" span closed at injection
-    /// Engine mode: the item reached the queue front but no admission slot
-    /// was free; `span` was swapped from "deliver" to an "admit-wait" span so
+    /// The item reached the queue front but no admission slot was free;
+    /// `span` was swapped from "deliver" to an "admit-wait" span so
     /// queue-behind wait and admission wait attribute separately.
     bool admit_blocked = false;
   };
 
+  /// A fabricated state operation in flight: get_state/_get_delta or
+  /// set_state/_apply_delta. State ops are exclusive — they start only when
+  /// the engine is drained, and no FOM is admitted while one is in flight —
+  /// because the published state piggybacks ORB/infra snapshots that are
+  /// only consistent at a quiescent point (§5).
   struct CurrentDispatch {
-    enum class Kind { kNormal, kGetState, kSetState } kind = Kind::kNormal;
-    GroupId client_group;       ///< kNormal: issuing client group
-    std::uint64_t op_seq = 0;   ///< group request id / epoch
-    orb::Endpoint reply_to;     ///< where the ORB will address the reply
-    ReplicaId subject;          ///< state ops: the recovering replica
-    bool checkpoint = false;    ///< get_state for a periodic checkpoint
+    enum class Kind { kGetState, kSetState } kind = Kind::kGetState;
+    std::uint64_t op_seq = 0;   ///< epoch (the fabricated request id)
+    ReplicaId subject;          ///< the recovering replica (0: checkpoint)
+    bool checkpoint = false;    ///< periodic checkpoint / intermediate restore
     /// kGetState: non-zero when the fabricated retrieval is a _get_delta
     /// since this epoch (the requester's advertised log tip); the published
     /// state becomes a delta envelope unless the servant fell back full.
     std::uint64_t delta_since = 0;
-    std::uint64_t trace = 0;    ///< causal trace id carried into the reply
-    std::uint64_t exec_span = 0;  ///< open "execute" span closed at reply capture
   };
 
   struct LocalReplica {
+    explicit LocalReplica(std::size_t concurrency) : engine(concurrency) {}
+
     ReplicaId id;
     GroupId group;
     std::shared_ptr<orb::Servant> servant;
     Phase phase = Phase::kRecovering;
-    bool busy = false;
-    /// FOM engine (config.exec_engine): drains `pending` through the phase
-    /// table while kOperational. Null in sync mode; dies with the replica,
-    /// so a relaunched incarnation always starts from an empty engine.
-    std::unique_ptr<exec::ReplicaEngine> engine;
+    /// Runs every request of this incarnation — live deliveries while
+    /// kOperational, log replay while kReplaying — as FOMs. A relaunched
+    /// incarnation is a new LocalReplica, so it starts from an empty engine.
+    exec::ReplicaEngine engine;
     std::deque<QueueItem> pending;
+    /// The exclusive state operation in flight, if any; the replica admits
+    /// no request while it is set.
     std::optional<CurrentDispatch> dispatch;
     util::TimePoint launched_at{};
     util::TimePoint get_state_at{};
@@ -439,15 +435,14 @@ class Mechanisms final : public interceptor::Diversion,
   void react(const std::vector<TableEvent>& events);
 
   // ---- FOM execution engine (mechanisms_exec.cpp) ----
-  /// Engine-mode pump: pops run-queue items while admission slots are free;
-  /// state ops wait for the engine to drain (exclusive barrier) and then
-  /// take the classic busy/dispatch path.
+  /// Operational pump: pops run-queue items while admission slots are
+  /// free; state ops wait for the engine to drain (exclusive barrier).
   void engine_pump(LocalReplica& r);
-  /// Decode phase + injection of one popped request as a FOM.
+  /// Decode phase + injection of one popped or replayed request as a FOM.
   void engine_admit(LocalReplica& r, const QueueItem& item);
-  /// Matches a captured servant reply against the in-flight FOMs of
-  /// engine-enabled replicas; on a match the reply is sequenced through the
-  /// in-order emitter. Returns true when consumed.
+  /// Matches a captured servant reply against the in-flight FOMs of the
+  /// live replicas; on a match the reply is sequenced through the in-order
+  /// emitter. Returns true when consumed.
   bool engine_capture_reply(const orb::Endpoint& to, util::Bytes& iiop,
                             const giop::Inspection& info);
 
@@ -456,10 +451,13 @@ class Mechanisms final : public interceptor::Diversion,
   /// queue or the replayed log. The InvariantChecker's replay-order rule
   /// requires every injected request to appear here first, in order.
   void trace_enqueue(const LocalReplica& r, const Envelope& e);
+  /// Makes progress after any change that may unblock a replica: runs the
+  /// operational queue, continues a log replay, or moves a backup's queue
+  /// into the message log, by phase.
   void pump(LocalReplica& r);
-  void inject_request_item(LocalReplica& r, const QueueItem& item);
   void inject_get_state(LocalReplica& r, const Envelope& e);
-  void complete_dispatch(LocalReplica& r, util::Bytes reply_iiop);
+  /// Clears the finished state op and pumps.
+  void complete_dispatch(LocalReplica& r);
 
   // ---- state transfer ----
   Bytes build_orb_snapshot(GroupId group);
@@ -514,7 +512,9 @@ class Mechanisms final : public interceptor::Diversion,
   // ---- passive logging / promotion ----
   void maybe_start_checkpoint_timer(LocalReplica& r);
   void promote_local(GroupId group);
-  void replay_log(LocalReplica& r);
+  /// Admits logged entries through the engine under the same rule as
+  /// engine_pump; at the end of the log (engine drained) the replica turns
+  /// operational.
   void replay_next(LocalReplica& r);
   void cold_restart(GroupId group);
   void send_get_state(GroupId group, ReplicaId subject);
@@ -540,8 +540,7 @@ class Mechanisms final : public interceptor::Diversion,
   /// consumes) in lockstep with the actual lifecycle.
   void set_phase(LocalReplica& r, Phase phase);
   void persist_log(GroupId group);
-  /// Fast-path persistence of one logged message: appends a segment entry
-  /// (or falls back to the legacy full rewrite when configured).
+  /// Fast-path persistence of one logged message: appends a segment entry.
   void persist_append(GroupId group, const Envelope& message);
   void apply_stored_log(GroupId group);
 

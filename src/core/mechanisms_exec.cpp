@@ -1,21 +1,22 @@
-// FOM execution engine integration (MechanismsConfig::exec_engine).
+// FOM execution engine integration: the one path by which a request
+// reaches a servant.
 //
-// The sync path (mechanisms_delivery.cpp) serializes a replica with one
-// `busy` flag: pump() pops a run-queue item, upcalls the servant, and pops
-// the next only after the reply is captured. Here pump() routes to
-// engine_pump() instead: items still pop strictly in run-queue order (the
-// total order), but each request becomes a FOM with its own admission slot,
-// so a stalled servant operation no longer blocks the items behind it.
-// Replies are sequenced by exec::ReplicaEngine so they are emitted in
-// total-order position regardless of completion order.
+// Agreed delivery only enqueues (mechanisms_delivery.cpp). engine_pump()
+// pops the run queue strictly in total order; each request becomes a FOM
+// with its own admission slot, so with exec_concurrency > 1 a stalled
+// servant operation no longer blocks the items behind it. Promotion and
+// cold-restart log replay (replay_next) admit their requests here under the
+// same rule. Replies are sequenced by exec::ReplicaEngine so they are
+// emitted in total-order position regardless of completion order.
 //
-// Equivalence contract: with exec_concurrency == 1 every side effect below
-// happens at the same virtual instant, in the same order, as the sync path —
-// the conformance harness (tests/core/exec_conformance_test.cpp) holds the
-// two modes to byte-identical delivery streams. State operations
-// (get_state/set_state) remain exclusive barriers in both modes because the
-// published state piggybacks ORB/infra snapshots that are only consistent
-// when no FOM is mid-execution.
+// At exec_concurrency 1 the engine serializes execution exactly like the
+// synchronous upcall path it replaced: every side effect happens at the
+// same virtual instant, in the same order — tests/core/exec_conformance_test.cpp
+// holds it to digests recorded from that path. State operations
+// (get_state/set_state and restore-queue applies) are not FOMs: they are
+// exclusive dispatches on LocalReplica::dispatch that start only when the
+// engine is drained, because the published state piggybacks ORB/infra
+// snapshots that are only consistent when no FOM is mid-execution (§5).
 #include "core/checkpointable.hpp"
 #include "core/mechanisms.hpp"
 #include "obs/spans.hpp"
@@ -25,18 +26,16 @@ namespace eternal::core {
 
 const exec::ReplicaEngine* Mechanisms::engine_of(GroupId group) const {
   const LocalReplica* r = local_replica(group);
-  return r == nullptr ? nullptr : r->engine.get();
+  return r == nullptr ? nullptr : &r->engine;
 }
 
 void Mechanisms::engine_pump(LocalReplica& r) {
-  exec::ReplicaEngine& engine = *r.engine;
-  while (!r.busy && !r.pending.empty() && r.phase == Phase::kOperational) {
+  while (!r.dispatch.has_value() && !r.pending.empty() && r.phase == Phase::kOperational) {
     // State ops need the engine drained (exclusive barrier); everything else
-    // needs a free admission slot. At concurrency 1 both conditions reduce
-    // to the sync path's !busy, so pop instants match exactly.
+    // needs a free admission slot.
     const bool admissible = r.pending.front().kind == QueueItem::Kind::kGetState
-                                ? engine.idle()
-                                : engine.can_admit();
+                                ? r.engine.idle()
+                                : r.engine.can_admit();
     if (!admissible) {
       // The front item is next in total order but the engine has no free
       // slot (or a state op needs the engine drained). Swap its "deliver"
@@ -65,7 +64,7 @@ void Mechanisms::engine_pump(LocalReplica& r) {
         engine_admit(r, item);
         break;
       case QueueItem::Kind::kGetState:
-        // Classic exclusive dispatch: r.busy gates the queue until the
+        // Exclusive dispatch: r.dispatch gates the queue until the
         // published state's reply lands at the recovery endpoint.
         inject_get_state(r, item.env);
         break;
@@ -88,8 +87,8 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   if (spans != nullptr && item.span != 0) spans->end(item.span, sim_.now());
 
   if (info->has_context(giop::kVendorHandshakeContextId)) {
-    // Handshakes are served inside the ORB and never occupy a FOM slot
-    // (same as the sync path: they do not make the object busy).
+    // Client-server handshakes are served inside the ORB; they never
+    // occupy a FOM slot.
     handshake_flights_[std::make_pair(from, info->request_id)].push_back(
         HandshakeFlight{r.group, /*replay=*/false});
     tap_.inject(from, e.payload);
@@ -99,16 +98,14 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   stats_.requests_delivered += 1;
   ctr_requests_injected_.add();
 
-  exec::Fom& fom = r.engine->admit(e.client_group, e.op_seq, from,
-                                   info->response_expected, sim_.now());
+  exec::Fom& fom = r.engine.admit(e.client_group, e.op_seq, from,
+                                  info->response_expected, sim_.now());
   if (rec_.tracing()) {
     rec_.record(node_, obs::Layer::kMech, "request_inject", e.op_seq,
                 "group=" + std::to_string(r.group.value) +
                     " replica=" + std::to_string(r.id.value) +
                     " client=" + std::to_string(e.client_group.value) +
-                    " op_seq=" + std::to_string(e.op_seq) +
-                    " fom_pos=" + std::to_string(fom.position) +
-                    " fom_phase=" + exec::to_string(fom.phase));
+                    " op_seq=" + std::to_string(e.op_seq));
   }
   if (spans != nullptr && item.trace != 0 && info->response_expected) {
     fom.trace = item.trace;
@@ -128,20 +125,20 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   if (info->response_expected) return;
 
   // Oneway: no reply will ever match this FOM. The slot is held for the
-  // quiescence grace period (§5), then the FOM retires at its position so
-  // later replies are not stuck behind it.
+  // quiescence grace period (§5: oneways complicate quiescence), then the
+  // FOM retires at its position so later replies are not stuck behind it.
   const GroupId group = r.group;
   const ReplicaId incarnation = r.id;
   const std::uint64_t position = fom.position;
   sim_.schedule(config_.oneway_grace, [this, group, incarnation, position] {
     LocalReplica* replica = local_replica(group);
     if (replica == nullptr || replica->id != incarnation ||
-        replica->engine == nullptr) {
+        replica->phase == Phase::kDead) {
       return;
     }
-    if (exec::Fom* f = replica->engine->find(position)) {
+    if (exec::Fom* f = replica->engine.find(position)) {
       f->enter(exec::FomPhase::kDone, sim_.now());
-      replica->engine->retire_immediate(position, sim_.now());
+      replica->engine.retire_immediate(position, sim_.now());
       pump(*replica);
     }
   });
@@ -151,8 +148,8 @@ bool Mechanisms::engine_capture_reply(const orb::Endpoint& to, util::Bytes& iiop
                                       const giop::Inspection& info) {
   for (auto& [gid, replica] : replicas_) {
     LocalReplica& r = *replica;
-    if (r.engine == nullptr) continue;
-    exec::Fom* fom = r.engine->match(to, info.request_id);
+    if (r.phase == Phase::kDead) continue;
+    exec::Fom* fom = r.engine.match(to, info.request_id);
     if (fom == nullptr) continue;
 
     Envelope e;
@@ -186,7 +183,7 @@ bool Mechanisms::engine_capture_reply(const orb::Endpoint& to, util::Bytes& iiop
     // ---- reply: built and handed to the sequencer; emitted now if this is
     // the lowest outstanding position, parked otherwise.
     fom->enter(exec::FomPhase::kReply, sim_.now());
-    r.engine->finish(
+    r.engine.finish(
         fom->position, sim_.now(),
         [this, envelope = std::move(e), trace, park_span, incarnation]() mutable {
           if (obs::SpanStore* s = rec_.spans(); s != nullptr && trace != 0) {

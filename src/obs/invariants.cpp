@@ -49,13 +49,9 @@ struct ReplicaHistory {
   std::set<std::string> injected_ops;       // rule 2: op identity set
   std::vector<std::string> enqueued_order;  // rule 4: recorded total order
   std::vector<std::string> injected_order;  // rule 4: execution order
-  /// Per injected op: the trace-event index of its request_inject record
-  /// and the execution phase it was injected under (FOM engine runs stamp
-  /// "fom_phase=..." into the detail; sync upcalls have none). A
-  /// replay-order violation reports both, so the offending operation is
-  /// locatable in the stream and attributable to a phase.
+  /// Per injected op: the trace-event index of its request_inject record,
+  /// so a replay-order violation is locatable in the stream.
   std::vector<std::size_t> injected_index;  // rule 4: event of each injection
-  std::vector<std::string> injected_phase;  // rule 4: phase of each injection
   std::uint32_t node = 0;
   std::string group;
 };
@@ -115,8 +111,7 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
                        "node " + std::to_string(ev.node.value) + " jumped from seq " +
                            std::to_string(cur.seq) + " to " + std::to_string(ev.seq) +
                            " on ring " + ring + " with no view install: " + stamp(ev),
-                       idx,
-                       {}});
+                       idx});
       }
       cur.seq = ev.seq;
       cur.has_delivered = true;
@@ -136,8 +131,7 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
                    std::to_string(seen.first_node) + " saw (origin " + seen.origin +
                    "/" + id.origin + " digest " + seen.digest + "/" + id.digest +
                    "): " + stamp(ev),
-               idx,
-               {}});
+               idx});
         }
       }
       continue;
@@ -165,8 +159,7 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
                        "passive group " + group + " has " +
                            std::to_string(primaries.size()) +
                            " operational primaries (" + list + "): " + stamp(ev),
-                       idx,
-                       {}});
+                       idx});
       }
       continue;
     }
@@ -190,13 +183,10 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
         out.push_back({"duplicate-op",
                        "operation " + op + " delivered twice to replica " +
                            lookup(kv, "replica") + ": " + stamp(ev),
-                       idx,
-                       {}});
+                       idx});
       }
       hist.injected_order.push_back(op);
       hist.injected_index.push_back(idx);
-      const std::string phase = lookup(kv, "fom_phase");
-      hist.injected_phase.push_back(phase.empty() ? "sync-upcall" : phase);
       continue;
     }
   }
@@ -214,11 +204,9 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
         Violation v;
         v.rule = "replay-order";
         v.event_index = hist.injected_index[i];
-        v.phase = hist.injected_phase[i];
         v.message = "replica " + replica + " (group " + hist.group + ", node " +
                     std::to_string(hist.node) + ") executed " + op +
-                    " out of enqueue order or without an enqueue record" +
-                    " (injected in phase " + v.phase + ")";
+                    " out of enqueue order or without an enqueue record";
         out.push_back(std::move(v));
         break;
       }
@@ -236,8 +224,7 @@ std::vector<Violation> InvariantChecker::check(const TraceBuffer& trace) {
                    std::to_string(trace.dropped()) + " of " +
                        std::to_string(trace.total()) +
                        " events dropped; raise trace_capacity to check this run",
-                   Violation::kNoIndex,
-                   {}});
+                   Violation::kNoIndex});
   }
   auto checked = check(trace.snapshot());
   out.insert(out.end(), checked.begin(), checked.end());

@@ -39,12 +39,6 @@ struct Violation {
   /// Index into the checked event snapshot of the event that tripped the
   /// rule; lets reports show the surrounding stream (report_with_context).
   std::size_t event_index = kNoIndex;
-  /// Execution phase of the offending operation when known: the FOM phase
-  /// recorded at injection ("decode"/"execute"/...) under the execution
-  /// engine, "sync-upcall" for the synchronous path. Empty when the rule has
-  /// no per-operation context. Replay-order violations always set this, so
-  /// an execution/delivery interleaving bug names the phase it surfaced in.
-  std::string phase;
 };
 
 /// Splits a "k1=v1 k2=v2" detail string into a lookup map. Tokens without

@@ -452,7 +452,6 @@ std::string FlightRecorder::to_json() const {
     if (v.event_index != Violation::kNoIndex) {
       w.field("event_index", static_cast<std::uint64_t>(v.event_index));
     }
-    if (!v.phase.empty()) w.field("phase", v.phase);
     w.end_object();
   }
   w.end_array();

@@ -177,9 +177,7 @@ void Poa::dispatch(const Endpoint& from, giop::Request request) {
     return;
   }
   ActiveObject& obj = it->second;
-  const std::size_t max_inflight =
-      std::max<std::size_t>(1, orb_.config().poa_max_inflight);
-  if (obj.inflight >= max_inflight) {
+  if (obj.inflight >= max_inflight_) {
     // SINGLE_THREAD_MODEL (max_inflight == 1) or a full admission window:
     // serialize the overflow per object.
     obj.queue.push_back(PendingDispatch{from, std::move(request)});
@@ -218,8 +216,7 @@ void Poa::finish_ticket(const std::string& key, std::uint64_t ticket) {
   if (obj.inflight > 0) obj.inflight -= 1;
   obj.completed.insert(ticket);
   while (obj.completed.erase(obj.next_gate) != 0) obj.next_gate += 1;
-  if (!obj.queue.empty() &&
-      obj.inflight < std::max<std::size_t>(1, orb_.config().poa_max_inflight)) {
+  if (!obj.queue.empty() && obj.inflight < max_inflight_) {
     PendingDispatch next = std::move(obj.queue.front());
     obj.queue.pop_front();
     dispatch(next.from, std::move(next.request));

@@ -62,12 +62,6 @@ struct OrbConfig {
   bool vendor_shortcuts = true;  ///< negotiate short keys with same-vendor peers
   util::Duration dispatch_overhead = util::Duration(10'000);  ///< 10 us per message
   std::uint16_t port = 2809;
-  /// POA dispatches admitted concurrently per object. 1 models the CORBA
-  /// SINGLE_THREAD_MODEL default (the seed behaviour). Larger values admit
-  /// several invocations whose modelled execution overlaps; their bodies
-  /// still run in admission-ticket order (see ServerRequest::run_when_clear),
-  /// so state mutations and replies keep the serialized order.
-  std::size_t poa_max_inflight = 1;
 };
 
 /// Externally observable ORB behaviour counters. The discard counters are
@@ -126,6 +120,14 @@ class Poa {
   /// from the message stream instead).
   std::size_t busy_objects() const;
 
+  /// Dispatches admitted concurrently per object. 1 (the default) models
+  /// the CORBA SINGLE_THREAD_MODEL. Larger values admit several invocations
+  /// whose modelled execution overlaps; their bodies still run in
+  /// admission-ticket order (see ServerRequest::run_when_clear), so state
+  /// mutations and replies keep the serialized order. core::System sets it
+  /// to MechanismsConfig::exec_concurrency.
+  void set_max_inflight(std::size_t n) noexcept { max_inflight_ = n == 0 ? 1 : n; }
+
  private:
   friend class Orb;
   friend class testing::OrbProbe;
@@ -158,6 +160,7 @@ class Poa {
 
   Orb& orb_;
   std::unordered_map<std::string, ActiveObject> objects_;
+  std::size_t max_inflight_ = 1;
 };
 
 /// The ORB. One per simulated processor.

@@ -1,7 +1,7 @@
 // Virtual-behaviour fingerprints.
 //
 // determinism_test proves that one build replays a seed byte-identically.
-// This suite pins same-seed behaviour *across builds*: eight short canonical
+// This suite pins same-seed behaviour *across builds*: nine short canonical
 // scenarios each reduce their trace stream and their per-client reply
 // schedule to 64-bit digests, compared with the goldens in
 // tests/data/fingerprints.txt. A host-speed or refactoring change (event
@@ -29,6 +29,7 @@
 
 #include "core/deployment.hpp"
 #include "support/counter_servant.hpp"
+#include "support/digest.hpp"
 
 #ifndef ETERNAL_TEST_DATA_DIR
 #error "ETERNAL_TEST_DATA_DIR must name tests/data"
@@ -42,6 +43,7 @@ using core::ReplicationStyle;
 using core::System;
 using core::SystemConfig;
 using test_support::CounterServant;
+using test_support::Digest;
 using util::Duration;
 using util::GroupId;
 using util::NodeId;
@@ -50,23 +52,6 @@ constexpr Duration kMs{1'000'000};
 constexpr Duration kUs{1'000};
 
 const std::string kGoldenPath = std::string(ETERNAL_TEST_DATA_DIR) + "/fingerprints.txt";
-
-/// Incremental 64-bit FNV-1a over text fields.
-class Digest {
- public:
-  void add(std::string_view s) {
-    for (unsigned char c : s) {
-      h_ ^= c;
-      h_ *= 0x100000001b3ull;
-    }
-    h_ ^= 0xff;  // field separator, so ("ab","c") != ("a","bc")
-    h_ *= 0x100000001b3ull;
-  }
-  std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 struct Fingerprint {
   std::uint64_t trace = 0;    ///< digest of the exported trace stream
@@ -116,6 +101,9 @@ class Rig {
     ASSERT_TRUE(sys_.run_until([this] { return answered_ == issued_; }, 5'000 * kMs))
         << answered_ << " of " << issued_ << " invocations answered";
   }
+
+  /// Issues one oneway "note" from client `c` (no reply to wait for).
+  void note(std::size_t c) { clients_[c].ref.oneway("note", {}); }
 
   Fingerprint finish() {
     const obs::TraceBuffer* trace = sys_.trace();
@@ -291,6 +279,49 @@ Fingerprint delta() {
   return rig.finish();
 }
 
+/// Cold-passive primary kill: the first backup node restarts the group
+/// from its checkpoint + message log. The logged tail holds a oneway
+/// "note", so the replay waits out the oneway grace period mid-log.
+Fingerprint cold_restart() {
+  SystemConfig cfg;
+  cfg.seed = 61;
+  Rig rig(cfg);
+  FtProperties props;
+  props.style = ReplicationStyle::kColdPassive;
+  props.checkpoint_interval = 20 * kMs;
+  props.fault_monitoring_interval = 5 * kMs;
+  props.initial_replicas = 1;
+  props.minimum_replicas = 1;
+  const GroupId g = rig.deploy_counter("vault", props, {NodeId{1}}, 1'000,
+                                       {NodeId{2}, NodeId{3}});
+  rig.add_client("a", NodeId{4}, {g});
+  rig.burst(6, 500 * kUs);
+  rig.sys().run_for(25 * kMs);  // a checkpoint reaches the backups' logs
+  rig.burst(2, 300 * kUs);
+  rig.note(0);
+  rig.burst(3, 300 * kUs);
+
+  const core::MessageLog* log = rig.sys().mech(NodeId{2}).log_of(g);
+  EXPECT_TRUE(log != nullptr && log->checkpoint().has_value());
+  bool oneway_logged = false;
+  if (log != nullptr) {
+    for (const core::Envelope& e : log->messages()) {
+      const auto info = giop::inspect(e.payload);
+      if (info && info->type == giop::MsgType::kRequest && !info->response_expected) {
+        oneway_logged = true;
+      }
+    }
+  }
+  EXPECT_TRUE(oneway_logged) << "the replayed log must hold the oneway note";
+
+  rig.sys().kill_replica(NodeId{1}, g);
+  rig.burst(6, 500 * kUs);
+  const core::MechanismsStats& s = rig.sys().mech(NodeId{2}).stats();
+  EXPECT_GT(s.promotions, 0u);
+  EXPECT_GE(s.log_replayed_messages, 6u);
+  return rig.finish();
+}
+
 /// Four independent rings, one active pair placed on each, and two
 /// clients bound to all four groups.
 Fingerprint rings4() {
@@ -317,9 +348,7 @@ Fingerprint rings4() {
 Fingerprint fom_c4() {
   SystemConfig cfg;
   cfg.seed = 59;
-  cfg.mechanisms.exec_engine = true;
   cfg.mechanisms.exec_concurrency = 4;
-  cfg.orb.poa_max_inflight = 4;
   Rig rig(cfg);
   const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}});
   rig.add_client("a", NodeId{3}, {g});
@@ -339,23 +368,13 @@ struct Scenario {
 const Scenario kScenarios[] = {
     {"clean", clean},     {"lossy", lossy}, {"reformation", reformation},
     {"chunked", chunked}, {"bulk", bulk},   {"delta", delta},
-    {"rings4", rings4},   {"fom_c4", fom_c4},
+    {"rings4", rings4},   {"fom_c4", fom_c4}, {"cold_restart", cold_restart},
 };
-
-std::map<std::string, std::string> load_goldens() {
-  std::map<std::string, std::string> goldens;
-  std::ifstream in(kGoldenPath);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    goldens[line.substr(0, line.find(' '))] = line;
-  }
-  return goldens;
-}
 
 TEST(Fingerprint, CanonicalScenariosMatchGoldens) {
   const bool update = std::getenv("ETERNAL_FINGERPRINT_UPDATE") != nullptr;
-  const std::map<std::string, std::string> goldens = load_goldens();
+  const std::map<std::string, std::string> goldens =
+      test_support::load_golden_lines(kGoldenPath);
   if (!update) {
     ASSERT_FALSE(goldens.empty()) << "no goldens in " << kGoldenPath;
   }

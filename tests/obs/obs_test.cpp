@@ -633,43 +633,38 @@ TEST(InvariantChecker, FlagsInjectionWithoutEnqueueRecord) {
   EXPECT_EQ(violations[0].rule, "replay-order");
 }
 
-TEST(InvariantChecker, ReplayOrderViolationCarriesEventIndexAndFomPhase) {
-  // FOM-engine injections stamp fom_pos/fom_phase into request_inject; the
-  // replay-order rule must report the offending event's index and the phase
-  // the FOM was in, both in the Violation fields and in the message.
-  std::vector<TraceEvent> events{
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=2"),
-      mech_event(1, "request_inject",
-                 "group=5 replica=r1 client=9 op_seq=2 fom_pos=0 fom_phase=decode"),
-      mech_event(1, "request_inject",
-                 "group=5 replica=r1 client=9 op_seq=1 fom_pos=1 fom_phase=decode")};
-  const auto violations = InvariantChecker::check(events);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].rule, "replay-order");
-  EXPECT_EQ(violations[0].event_index, 3u)
-      << "the injection that could not be matched against the enqueue order";
-  EXPECT_EQ(violations[0].phase, "decode");
-  EXPECT_NE(violations[0].message.find("injected in phase decode"), std::string::npos)
-      << violations[0].message;
-
-  // ...and report_with_context anchors the stream excerpt on that event.
-  const std::string report =
-      InvariantChecker::report_with_context(violations, events, 1);
-  EXPECT_NE(report.find(">>> [3]"), std::string::npos) << report;
-}
-
 TEST(InvariantChecker, SyncUpcallInjectionsReportSyncPhase) {
-  // The seed's synchronous path stamps no fom_phase; the violation still
-  // carries an index and attributes the injection to "sync-upcall".
+  // The sync path (now the engine at concurrency 1) stamps no phase into
+  // request_inject; the violation still locates the injection by index and
+  // names the replica, group, node and operation it belongs to.
   std::vector<TraceEvent> events{
       mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].event_index, 0u);
-  EXPECT_EQ(violations[0].phase, "sync-upcall");
-  EXPECT_NE(violations[0].message.find("injected in phase sync-upcall"),
-            std::string::npos);
+  EXPECT_NE(violations[0].message.find("replica r1 (group 5, node 1) executed 9#1"),
+            std::string::npos)
+      << violations[0].message;
+}
+
+TEST(InvariantChecker, ReplayOrderViolationCarriesEventIndex) {
+  // The replay-order rule must report the offending injection's index, so
+  // the operation is locatable in the stream.
+  std::vector<TraceEvent> events{
+      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"),
+      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=2"),
+      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=2"),
+      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
+  const auto violations = InvariantChecker::check(events);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rule, "replay-order");
+  EXPECT_EQ(violations[0].event_index, 3u)
+      << "the injection that could not be matched against the enqueue order";
+
+  // ...and report_with_context anchors the stream excerpt on that event.
+  const std::string report =
+      InvariantChecker::report_with_context(violations, events, 1);
+  EXPECT_NE(report.find(">>> [3]"), std::string::npos) << report;
 }
 
 TEST(InvariantChecker, RefusesToVouchForTruncatedBuffer) {

@@ -386,7 +386,6 @@ TEST(FlightRecorder, AttachedViolationsAreEmbeddedInTheDump) {
   indexed.rule = "replay-order";
   indexed.message = "replica r1 executed 9#2 out of enqueue order";
   indexed.event_index = 3;
-  indexed.phase = "decode";
   Violation bare;
   bare.rule = "trace-dropped";
   bare.message = "2 of 10 events dropped";
@@ -396,7 +395,6 @@ TEST(FlightRecorder, AttachedViolationsAreEmbeddedInTheDump) {
   EXPECT_NE(json.find("\"violations\":[{"), std::string::npos) << json;
   EXPECT_NE(json.find("\"rule\":\"replay-order\""), std::string::npos);
   EXPECT_NE(json.find("\"event_index\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"phase\":\"decode\""), std::string::npos);
   EXPECT_NE(json.find("\"rule\":\"trace-dropped\""), std::string::npos);
   // The un-indexed violation omits the optional keys rather than emitting
   // sentinel values.
