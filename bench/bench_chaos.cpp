@@ -43,6 +43,7 @@
 #include "core/stable_storage.hpp"
 #include "obs/critpath.hpp"
 #include "sim/chaos.hpp"
+#include "util/percentile.hpp"
 #include "workload/fleet.hpp"
 
 #include "../tests/support/counter_servant.hpp"
@@ -507,8 +508,7 @@ double merged_p99_ms(const std::vector<const FleetDriver*>& fleets) {
   }
   if (all.empty()) return -1.0;
   std::sort(all.begin(), all.end());
-  const double rank = 0.99 * static_cast<double>(all.size() - 1);
-  return bench::to_ms(all[static_cast<std::size_t>(rank + 0.5)]);
+  return bench::to_ms(util::nearest_rank(all, 99.0));
 }
 
 /// Sharded deployment: three independent Totem rings, two groups pinned to

@@ -41,6 +41,7 @@
 #include "support.hpp"
 #include "obs/invariants.hpp"
 #include "obs/spans.hpp"
+#include "util/percentile.hpp"
 #include "workload/fleet.hpp"
 
 #include "../tests/support/counter_servant.hpp"
@@ -175,8 +176,7 @@ std::uint64_t check_invariants(System& sys, const std::string& label) {
 double percentile_ms(std::vector<Duration> samples, double p) {
   if (samples.empty()) return -1.0;
   std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  return bench::to_ms(samples[static_cast<std::size_t>(rank + 0.5)]);
+  return bench::to_ms(util::nearest_rank(samples, p));
 }
 
 struct RingStat {

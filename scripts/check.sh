@@ -71,7 +71,7 @@ cmake -B build-asan -S . -DETERNAL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   sim_test totem_test totem_protocol_test fingerprint_test \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-  passive_test critpath_test \
+  passive_test critpath_test fast_state_transfer_test recovery_hazards_test \
   batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
   chaos_script_test fleet_stats_test
 # sim_test and totem_test hold the event-queue and frame-store differential
@@ -79,9 +79,12 @@ cmake --build build-asan -j"$JOBS" --target \
 # the frame store recycles ring slots, so both run under the sanitizers.
 # passive_test and critpath_test: promotion and cold-restart log replay run
 # on the engine's grace timers and reply sequencer, as does every request.
+# fast_state_transfer_test and recovery_hazards_test: chunk slicing,
+# reassembly and reformation mid-transfer in the state-transfer pipeline.
 for t in sim_test totem_test totem_protocol_test fingerprint_test \
          obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-         passive_test critpath_test chaos_script_test fleet_stats_test; do
+         passive_test critpath_test fast_state_transfer_test recovery_hazards_test \
+         chaos_script_test fleet_stats_test; do
   "build-asan/tests/$t"
 done
 # Batch packing/unpacking moves raw payload bytes on the hot path; run the
@@ -92,8 +95,8 @@ done
 # phase/reply-sequencer machinery (including the overlap scenario) under
 # ASan/UBSan.
 "build-asan/tests/exec_conformance_test" --gtest_filter='ExecConformanceFast.*'
-# Bulk-lane conformance: the fast seeds move real extent payloads over the
+# Bulk-lane conformance: every seed moves real extent payloads over the
 # lane (descriptor/ack/marker, digest stash, fallback) under ASan/UBSan.
-"build-asan/tests/bulk_transfer_conformance_test" --gtest_filter='BulkConformanceFast.*'
+"build-asan/tests/bulk_transfer_conformance_test"
 
 echo "check.sh: all gates passed"

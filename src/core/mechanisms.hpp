@@ -27,6 +27,7 @@
 //     replay/injection.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -67,16 +68,11 @@ struct MechanismsConfig {
   bool replay_handshakes = true;   ///< §4.2.2: store + replay handshakes
   bool transfer_orb_state = true;  ///< piggyback ORB/POA-level state
   bool transfer_infra_state = true;  ///< piggyback infrastructure-level state
-  util::Duration oneway_grace = util::Duration(200'000);  ///< quiescence bound
-  util::Duration cold_start_delay = util::Duration(2'000'000);  ///< process spawn
-  std::size_t reply_cache_cap = 1024;  ///< per-connection replay reply cache
   /// When non-empty, this node's checkpoint+message logs are persisted to
   /// stable storage in this directory (paper §3.3: the cold-passive log
   /// must survive the logging processor), enabling restore_from_storage()
   /// after a total failure or whole-system restart.
   std::string stable_storage_dir;
-  /// Segment entries per batched sync (stable-storage append mode).
-  std::uint32_t storage_sync_every = 8;
 
   // ---- fast-path state transfer (0 = off: seed wire behaviour) ----
   /// Delta checkpoints: maximum chained deltas a log absorbs before the
@@ -101,13 +97,6 @@ struct MechanismsConfig {
   bool bulk_lane = false;
   /// Payload bytes per bulk extent (the digest / ack / retry unit).
   std::size_t bulk_extent_bytes = 65'536;
-  /// Extents in flight on the lane before waiting for acks.
-  std::size_t bulk_credit_window = 4;
-  /// Re-send timeout for the oldest unacked extent.
-  util::Duration bulk_retry_timeout = util::Duration(10'000'000);  ///< 10 ms
-  /// Consecutive retry rounds before the sender gives up and falls back to
-  /// the in-band chunked path.
-  std::size_t bulk_max_retries = 8;
 
   // ---- execution engine (src/core/exec/) ----
   /// Request FOMs admitted concurrently per replica. Every delivered or
@@ -464,41 +453,67 @@ class Mechanisms final : public interceptor::Diversion,
   InfraLevelState build_infra_snapshot(GroupId group);
   void publish_state(LocalReplica& r, const CurrentDispatch& d, util::BytesView reply_iiop);
   void apply_state(LocalReplica& r, const Envelope& e, bool is_checkpoint);
-  /// Chunked transfer: splits an encoded state envelope into kStateChunk
-  /// multicasts, pipelined `state_chunk_window` at a time (the sender pumps
-  /// the next chunk on self-delivery of its own), and reassembles at every
-  /// member — the inner envelope delivers at the final chunk's position.
-  void start_chunked_send(GroupId group, const Envelope& inner);
+
+  // ---- state-transfer pipeline (mechanisms_transfer.cpp) ----
+  // A set_state too large for one multicast travels as: descriptor (lane
+  // only) → data carrier → ordered completion point (the final chunk or
+  // the marker), where every member delivers it (DESIGN.md "State-transfer
+  // pipeline").
+  /// The medium of a transfer's bytes: kStateChunk multicasts on the ring,
+  /// or kBulkExtent frames on the point-to-point bulk lane.
+  enum class Carrier : std::uint8_t { kRing, kLane };
+  struct StateSend;
+  struct StateReassembly;
+  /// Why in-flight transfers end before their completion point.
+  enum class TransferEnd : std::uint8_t {
+    kSenderDeparted,  ///< a reassembly's sender left the ring
+    kRingReset,       ///< fresh rejoin: the ring's history is gone (uncounted)
+    kReplicaRemoved,  ///< the subject, or the replica sourcing a send, was removed
+    kStateApplied,    ///< a set_state for the subject was delivered
+    kSuperseded,      ///< a newer epoch or a rival descriptor overtook it
+  };
+  /// What a drop_transfers match sees of one send or reassembly.
+  struct TransferRef {
+    GroupId group;
+    std::uint64_t epoch;
+    ReplicaId subject;
+    NodeId sender;  ///< this node for a send
+    Carrier carrier;
+    bool outgoing;
+  };
+  /// Publishes an oversized set_state: on the bulk lane when configured and
+  /// the recoverer is reachable, otherwise as ring chunks.
+  void start_state_send(GroupId group, const Envelope& inner);
+  /// Multicasts the first `state_chunk_window` chunks of `s`; each
+  /// self-delivered chunk sends one more.
+  void start_ring_send(StateSend s);
+  /// The envelope of `kind` (chunk, descriptor, marker or extent) that this
+  /// node sends for `s`; `index` picks the chunk or extent.
+  Envelope transfer_envelope(EnvelopeKind kind, const StateSend& s, std::size_t index) const;
   void deliver_state_chunk(const Envelope& e);
-  // ---- out-of-band bulk transfer (mechanisms_bulk.cpp) ----
-  struct BulkSend;
-  struct BulkReassembly;
-  /// True when a bulk send to `to` can be attempted right now: config + lane
-  /// enabled, both endpoints attached, chunked fallback configured.
-  bool bulk_usable(NodeId to) const;
-  /// Sender: slices the encoded inner envelope into digested extents,
-  /// multicasts the descriptor on the ring, and starts streaming on the lane.
-  void start_bulk_send(GroupId group, const Envelope& inner);
   /// Streams extents up to the credit window; emits the ordered completion
   /// marker once every extent is acked.
-  void pump_bulk_send(BulkSend& s);
-  void ship_bulk_extent(BulkSend& s, std::size_t index);
-  void arm_bulk_retry(GroupId group);
-  /// Retry exhaustion / lane death / membership change: drops the send and
-  /// (optionally) re-publishes the kept inner envelope via the in-band
-  /// chunked path under the same epoch.
-  void abort_bulk_send(GroupId group, bool fallback);
+  void pump_lane_send(StateSend& s);
+  void ship_extent(StateSend& s, std::size_t index);
+  void arm_lane_retry(GroupId group);
+  /// Retry exhaustion: drops the lane send and re-publishes its image as
+  /// ring chunks under the same epoch.
+  void fall_back_to_ring(GroupId group);
   void deliver_bulk_descriptor(const Envelope& e);
   void deliver_bulk_marker(const Envelope& e);
   void handle_bulk_extent(NodeId from, const Envelope& e);
   void handle_bulk_ack(const Envelope& e);
-  /// Moves a dead reassembly's verified extents into the digest-keyed stash
-  /// (resume source for the next attempt) and erases it.
-  void stash_bulk_reassembly(std::uint32_t group, BulkReassembly& re);
-  /// Drops every bulk reassembly/stash entry for (group, subject) with epoch
-  /// <= `applied_epoch` (0 = all): a delivered set_state supersedes them.
-  void gc_bulk_incoming(std::uint32_t group, ReplicaId subject,
-                        std::uint64_t applied_epoch);
+  void ack_extent(GroupId group, std::uint64_t epoch, const StateReassembly& re,
+                  std::uint32_t index);
+  /// The ordered completion point: concatenates a complete reassembly,
+  /// decodes it and delivers the set_state here. False (nothing delivered)
+  /// when the image is not a set_state.
+  bool assemble_and_deliver(const StateReassembly& re);
+  /// Ends every send and reassembly `match` selects: lane sends cancel
+  /// their retry timer, each carrier bumps its own counter (none for
+  /// kRingReset), and a lane reassembly ended by kSenderDeparted or
+  /// kSuperseded banks its verified extents in the resume stash.
+  void drop_transfers(TransferEnd why, const std::function<bool(const TransferRef&)>& match);
 
   /// Applies the next queued restore envelope (base checkpoint / chained
   /// delta / wire state) as a fabricated dispatch; the last one completes
@@ -595,39 +610,29 @@ class Mechanisms final : public interceptor::Diversion,
   // fabricates _get_delta(since) instead of a full _get_state.
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> recovery_base_;
 
-  // ---- chunked state transfer ----
-  struct ChunkedSend {
+  // ---- state-transfer pipeline ----
+  struct StateSend {
+    GroupId group{};
     std::uint64_t epoch = 0;
     ReplicaId subject{};           ///< the recoverer this transfer serves
-    std::vector<Envelope> chunks;  ///< pre-built kStateChunk envelopes
-    std::size_t next = 0;          ///< next chunk to multicast
-  };
-  std::map<std::uint32_t, ChunkedSend> outgoing_chunks_;  // by group
-  struct ChunkReassembly {
-    NodeId sender{};      ///< first sender seen; rival senders' chunks dropped
-    ReplicaId subject{};  ///< the recoverer this transfer serves
-    std::vector<Bytes> parts;  ///< empty slot = not yet received
-    std::size_t received = 0;
-  };
-  std::map<std::pair<std::uint32_t, std::uint64_t>, ChunkReassembly>
-      incoming_chunks_;  // by (group, epoch)
-
-  // ---- out-of-band bulk transfer ----
-  struct BulkSend {
-    GroupId group{};
+    std::uint64_t delta_base = 0;  ///< the inner envelope's (descriptor/marker)
+    Bytes encoded;                 ///< encoded inner envelope: the shipped bytes
+    std::size_t slice_bytes = 0;   ///< chunk / extent width (the last may be shorter)
+    std::size_t next = 0;          ///< next never-sent slice
+    std::size_t slices() const { return (encoded.size() + slice_bytes - 1) / slice_bytes; }
+    BytesView slice(std::size_t index) const {
+      const std::size_t begin = index * slice_bytes;
+      return BytesView(encoded.data() + begin,
+                       std::min(slice_bytes, encoded.size() - begin));
+    }
+    // ---- lane only ----
     std::uint64_t transfer_id = 0;
-    std::uint64_t epoch = 0;
-    ReplicaId subject{};   ///< the recoverer this transfer serves
-    NodeId to{};           ///< the recoverer's node (lane destination)
-    Envelope inner;        ///< kept whole for the in-band fallback
-    Bytes encoded;         ///< encoded inner envelope (the shipped bytes)
-    std::size_t extent_bytes = 0;
+    NodeId to{};  ///< the recoverer's node (lane destination)
     std::vector<std::uint64_t> digests;
     std::vector<bool> sent;
     std::vector<bool> acked;
     std::size_t acked_count = 0;
-    std::size_t next = 0;       ///< next never-sent extent
-    std::size_t inflight = 0;   ///< sent, not yet acked (credit accounting)
+    std::size_t inflight = 0;  ///< sent, not yet acked (credit accounting)
     std::size_t retry_rounds = 0;
     /// Our descriptor self-delivered, and it was the first descriptor of its
     /// epoch in the total order — extents may flow.
@@ -635,19 +640,28 @@ class Mechanisms final : public interceptor::Diversion,
     bool marker_sent = false;
     sim::EventId retry_timer{};
   };
-  std::map<std::uint32_t, BulkSend> outgoing_bulk_;  // by group
-  struct BulkReassembly {
-    std::uint64_t transfer_id = 0;
-    NodeId sender{};
-    ReplicaId subject{};
-    std::uint64_t total_bytes = 0;
-    std::size_t extent_bytes = 0;
-    std::vector<std::uint64_t> digests;
-    std::vector<Bytes> parts;  ///< empty slot = not yet received+verified
+  /// By (group, carrier): a group may hold a lane send for one epoch while a
+  /// later epoch fell back to ring chunks.
+  std::map<std::pair<std::uint32_t, Carrier>, StateSend> sends_;
+  struct StateReassembly {
+    NodeId sender{};      ///< ring: first sender seen (rivals' chunks dropped)
+    ReplicaId subject{};  ///< the recoverer this transfer serves
+    std::uint64_t transfer_id = 0;  ///< lane: the descriptor's transfer
+    std::uint64_t total_bytes = 0;  ///< lane: encoded image size
+    std::size_t extent_bytes = 0;   ///< lane: extent width
+    std::vector<std::uint64_t> digests;  ///< lane: per-extent digests
+    std::vector<Bytes> parts;  ///< empty slot = not yet received (and verified)
     std::size_t received = 0;
   };
-  std::map<std::pair<std::uint32_t, std::uint64_t>, BulkReassembly>
-      incoming_bulk_;  // by (group, epoch)
+  struct TransferKey {
+    std::uint32_t group;
+    std::uint64_t epoch;
+    Carrier carrier;
+    auto operator<=>(const TransferKey&) const = default;
+  };
+  /// By (group, epoch, carrier): after a same-epoch fallback a group holds
+  /// both the lane attempt and its chunked successor.
+  std::map<TransferKey, StateReassembly> reassemblies_;
   /// Verified extents surviving an aborted attempt, keyed by content digest:
   /// a re-served transfer (same or new sender) acks matching extents without
   /// re-shipping them. (group, subject) → digest → bytes.

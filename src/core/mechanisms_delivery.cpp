@@ -1,6 +1,7 @@
 // Delivery-side half of the Mechanisms: totally-ordered envelope handling,
 // the quiescence-gated per-replica queue pump, the Figure-5 state-transfer
-// protocol, passive logging/promotion, and fault detection.
+// protocol (its chunk and bulk carriers live in mechanisms_transfer.cpp),
+// passive logging/promotion, and fault detection.
 #include <algorithm>
 
 #include "core/checkpointable.hpp"
@@ -12,6 +13,10 @@ namespace eternal::core {
 
 namespace {
 constexpr const char* kTag = "eternal";
+/// Replies kept per client connection for passive-promotion replay.
+constexpr std::size_t kReplyCacheCap = 1024;
+/// Process spawn time of a cold-passive restart.
+constexpr util::Duration kColdStartDelay{2'000'000};
 
 util::Bytes rewrite_reply_id(util::BytesView iiop, std::uint32_t new_rid) {
   std::optional<giop::Message> msg = giop::decode(iiop);
@@ -115,50 +120,24 @@ void Mechanisms::on_view_change_on(std::uint32_t ring, const totem::View& view) 
     awaiting_get_state_.clear();
     epoch_floor_.clear();
     recovery_base_.clear();
-    outgoing_chunks_.clear();
-    incoming_chunks_.clear();
-    for (auto& [gid, send] : outgoing_bulk_) sim_.cancel(send.retry_timer);
-    outgoing_bulk_.clear();
-    incoming_bulk_.clear();
+    drop_transfers(TransferEnd::kRingReset, [](const TransferRef&) { return true; });
     bulk_stash_.clear();
     return;
   }
 
-  // In-flight chunked transfers whose sender departed can never complete,
-  // and a later transfer keyed to the same (group, epoch) must not inherit
-  // their partial bytes — drop them now. The recoverer's retrieval is
-  // re-issued by react() below; duplicate set_states are absorbed by the
-  // epoch windows.
-  for (auto it = incoming_chunks_.begin(); it != incoming_chunks_.end();) {
-    // A node that departed this ring may still be alive on another ring —
-    // only transfers of groups this ring orders are affected.
-    const bool sender_gone =
-        ring_of(GroupId{it->first.first}) == ring &&
-        std::find(view.departed.begin(), view.departed.end(), it->second.sender) !=
-            view.departed.end();
-    if (sender_gone) {
-      stats_.state_chunk_aborts += 1;
-      it = incoming_chunks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Bulk reassemblies whose sender departed are equally dead — but their
-  // verified extents survive into the stash, so the re-served transfer
-  // (served by a surviving member) resumes instead of re-shipping.
-  for (auto it = incoming_bulk_.begin(); it != incoming_bulk_.end();) {
-    const bool sender_gone =
-        ring_of(GroupId{it->first.first}) == ring &&
-        std::find(view.departed.begin(), view.departed.end(), it->second.sender) !=
-            view.departed.end();
-    if (sender_gone) {
-      stats_.bulk_transfers_aborted += 1;
-      stash_bulk_reassembly(it->first.first, it->second);
-      it = incoming_bulk_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // In-flight transfers whose sender departed can never complete, and a
+  // later transfer keyed to the same (group, epoch) must not inherit their
+  // partial bytes — drop them now (a lane reassembly's verified extents
+  // survive in the stash, so the re-served transfer resumes). The
+  // recoverer's retrieval is re-issued by react() below; duplicate
+  // set_states are absorbed by the epoch windows. A node that departed this
+  // ring may still be alive on another ring — only transfers of groups this
+  // ring orders are affected.
+  drop_transfers(TransferEnd::kSenderDeparted, [&](const TransferRef& t) {
+    return !t.outgoing && ring_of(t.group) == ring &&
+           std::find(view.departed.begin(), view.departed.end(), t.sender) !=
+               view.departed.end();
+  });
 
   // Replicas on departed processors are gone; apply deterministically.
   // Departure is a per-ring fact: a processor whose ring-r endpoint died
@@ -225,14 +204,8 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
   std::erase_if(awaiting_get_state_, [&](const auto& kv) { return on_ring(kv.first); });
   std::erase_if(epoch_floor_, [&](const auto& kv) { return on_ring(kv.first); });
   std::erase_if(recovery_base_, [&](const auto& kv) { return on_ring(kv.first.first); });
-  std::erase_if(outgoing_chunks_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(incoming_chunks_,
-                [&](const auto& kv) { return on_ring(kv.first.first); });
-  for (auto& [gid, send] : outgoing_bulk_) {
-    if (on_ring(gid)) sim_.cancel(send.retry_timer);
-  }
-  std::erase_if(outgoing_bulk_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(incoming_bulk_, [&](const auto& kv) { return on_ring(kv.first.first); });
+  drop_transfers(TransferEnd::kRingReset,
+                 [&](const TransferRef& t) { return on_ring(t.group.value); });
   std::erase_if(bulk_stash_, [&](const auto& kv) { return on_ring(kv.first.first); });
 }
 
@@ -406,7 +379,7 @@ void Mechanisms::deliver_reply(const Envelope& e) {
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
   conn.reply_cache[e.op_seq] = e.payload;
-  while (conn.reply_cache.size() > config_.reply_cache_cap) {
+  while (conn.reply_cache.size() > kReplyCacheCap) {
     conn.reply_cache.erase(conn.reply_cache.begin());
   }
 
@@ -580,139 +553,12 @@ void Mechanisms::publish_state(LocalReplica& r, const CurrentDispatch& d,
   if (!d.checkpoint && config_.state_chunk_bytes > 0 &&
       e.payload.size() + e.orb_state.size() + e.infra_state.size() >
           config_.state_chunk_bytes) {
-    if (config_.bulk_lane) {
-      // Out-of-band path: the bytes leave the ring entirely
-      // (mechanisms_bulk.cpp); falls back to chunking when the lane cannot
-      // reach the recoverer.
-      start_bulk_send(r.group, e);
-      return;
-    }
-    start_chunked_send(r.group, e);
+    // The state-transfer pipeline (mechanisms_transfer.cpp): lane extents
+    // or ring chunks, completing at one ordered position.
+    start_state_send(r.group, e);
     return;
   }
   multicast(e);
-}
-
-void Mechanisms::start_chunked_send(GroupId group, const Envelope& inner) {
-  const Bytes encoded = encode_envelope(inner);
-  const std::size_t chunk = config_.state_chunk_bytes;
-  const std::size_t count = (encoded.size() + chunk - 1) / chunk;
-  ChunkedSend send;
-  send.epoch = inner.op_seq;
-  send.subject = inner.subject;
-  send.chunks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Envelope c;
-    c.kind = EnvelopeKind::kStateChunk;
-    c.target_group = group;
-    c.op_seq = inner.op_seq;
-    c.subject = inner.subject;
-    c.subject_node = node_;
-    c.chunk_index = static_cast<std::uint32_t>(i);
-    c.chunk_count = static_cast<std::uint32_t>(count);
-    const std::size_t begin = i * chunk;
-    const std::size_t end = std::min(begin + chunk, encoded.size());
-    c.payload.assign(encoded.begin() + static_cast<std::ptrdiff_t>(begin),
-                     encoded.begin() + static_cast<std::ptrdiff_t>(end));
-    send.chunks.push_back(std::move(c));
-  }
-  ETERNAL_LOG(kDebug, kTag,
-              util::to_string(node_) << " chunking " << encoded.size() << "B state epoch "
-                                     << inner.op_seq << " into " << count << " chunks");
-  ChunkedSend& active = outgoing_chunks_[group.value] = std::move(send);
-  // Prime the pipelining window; each self-delivered chunk pumps one more,
-  // so normal traffic interleaves with the transfer in the total order.
-  const std::size_t window = std::max<std::size_t>(1, config_.state_chunk_window);
-  while (active.next < active.chunks.size() && active.next < window) {
-    multicast(active.chunks[active.next++]);
-    stats_.state_chunks_sent += 1;
-  }
-}
-
-void Mechanisms::deliver_state_chunk(const Envelope& e) {
-  // Sender side: our own chunk came back through the total order — the
-  // window has room for the next one.
-  if (e.subject_node == node_) {
-    auto out = outgoing_chunks_.find(e.target_group.value);
-    if (out != outgoing_chunks_.end() && out->second.epoch == e.op_seq) {
-      if (out->second.next < out->second.chunks.size()) {
-        multicast(out->second.chunks[out->second.next++]);
-        stats_.state_chunks_sent += 1;
-      } else if (e.chunk_index + 1 == e.chunk_count) {
-        outgoing_chunks_.erase(out);
-      }
-    }
-  }
-
-  // Receiver side: every member reassembles (the sender included — its own
-  // copy delivers through the same path a monolithic multicast would).
-  const auto key = std::make_pair(e.target_group.value, e.op_seq);
-  ChunkReassembly& ra = incoming_chunks_[key];
-  if (ra.parts.empty()) {
-    ra.parts.resize(e.chunk_count);
-    ra.sender = e.subject_node;
-    ra.subject = e.subject;
-  } else if (ra.sender != e.subject_node) {
-    // In active replication every operational member answers the same
-    // retrieval epoch; the copies need not be byte-identical (infra
-    // snapshots differ per node), so interleaving two senders' chunks into
-    // one buffer would reassemble garbage. First sender wins; rivals'
-    // chunks are redundant copies of the same logical transfer.
-    stats_.state_chunk_duplicates += 1;
-    return;
-  }
-  if (e.chunk_count != ra.parts.size() || e.chunk_index >= ra.parts.size()) {
-    ETERNAL_LOG(kWarn, kTag, "inconsistent state-chunk geometry; reassembly aborted");
-    stats_.state_chunk_aborts += 1;
-    incoming_chunks_.erase(key);
-    return;
-  }
-  if (!ra.parts[e.chunk_index].empty()) {
-    stats_.state_chunk_duplicates += 1;
-    return;
-  }
-  ra.parts[e.chunk_index] = e.payload;
-  ra.received += 1;
-  stats_.state_chunks_received += 1;
-  if (obs::SpanStore* spans = rec_.spans()) {
-    spans->recovery().chunk_arrived(e.target_group, e.subject, sim_.now(),
-                                    e.chunk_index, e.chunk_count, e.payload.size());
-  }
-  if (ra.received < ra.parts.size()) return;
-
-  std::size_t total = 0;
-  for (const Bytes& part : ra.parts) total += part.size();
-  Bytes encoded;
-  encoded.reserve(total);
-  for (const Bytes& part : ra.parts) {
-    encoded.insert(encoded.end(), part.begin(), part.end());
-  }
-  incoming_chunks_.erase(key);
-  // A completed transfer supersedes older stalled reassemblies of the same
-  // group (their source died or was overtaken mid-stream).
-  for (auto it = incoming_chunks_.begin(); it != incoming_chunks_.end();) {
-    if (it->first.first == e.target_group.value && it->first.second < e.op_seq) {
-      stats_.state_chunk_aborts += 1;
-      it = incoming_chunks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  std::optional<Envelope> inner = decode_envelope(encoded);
-  if (!inner || (inner->kind != EnvelopeKind::kSetState &&
-                 inner->kind != EnvelopeKind::kCheckpoint)) {
-    ETERNAL_LOG(kWarn, kTag, "malformed reassembled state envelope; dropped");
-    stats_.state_chunk_aborts += 1;
-    return;
-  }
-  // The inner envelope's logical delivery point is the final chunk's
-  // total-order position — identical at every member.
-  if (inner->kind == EnvelopeKind::kSetState) {
-    deliver_set_state(*inner);
-  } else {
-    deliver_checkpoint(*inner);
-  }
 }
 
 void Mechanisms::deliver_set_state(const Envelope& e) {
@@ -724,14 +570,16 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
   react(table_.apply_state_transfer(e));
   awaiting_get_state_[e.target_group.value].erase(e.subject.value);
 
-  // This epoch's state has landed (whatever path carried it): bulk machinery
-  // still working the same subject at this or an older epoch is superseded —
-  // a rival sender stands down, stale reassemblies and the resume stash go.
-  auto bulk_out = outgoing_bulk_.find(e.target_group.value);
-  if (bulk_out != outgoing_bulk_.end() && bulk_out->second.epoch == e.op_seq) {
-    abort_bulk_send(e.target_group, /*fallback=*/false);
-  }
-  gc_bulk_incoming(e.target_group.value, e.subject, e.op_seq);
+  // This epoch's state has landed (whatever carrier brought it): lane
+  // transfers still working the same subject at this or an older epoch are
+  // superseded — a rival sender stands down, stale reassemblies and the
+  // resume stash go. Ring chunks are left to drain: a rival's late chunks
+  // count as duplicates.
+  drop_transfers(TransferEnd::kStateApplied, [&](const TransferRef& t) {
+    if (t.carrier != Carrier::kLane || t.group != e.target_group) return false;
+    return t.outgoing ? t.epoch == e.op_seq : t.subject == e.subject && t.epoch <= e.op_seq;
+  });
+  bulk_stash_.erase({e.target_group.value, e.subject.value});
 
   LocalReplica* r = local_replica(e.target_group);
   if (r == nullptr) return;
@@ -1219,7 +1067,7 @@ void Mechanisms::promote_local(GroupId group) {
     if (candidate == node_ && factories_.count(group.value) > 0) {
       const LocalReplica* mine = local_replica(group);
       if (mine == nullptr || mine->phase == Phase::kRecovering) {
-        sim_.schedule(config_.cold_start_delay, [this, group] { cold_restart(group); });
+        sim_.schedule(kColdStartDelay, [this, group] { cold_restart(group); });
       }
     }
     break;  // only the first eligible backup node restarts
@@ -1382,6 +1230,7 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
         break;
       }
       case TableEvent::Kind::kReplicaRemoved: {
+        bool source_removed = false;
         if (event.node == node_) {
           LocalReplica* r = local_replica(event.group);
           if (r != nullptr && r->id == event.replica) {
@@ -1391,41 +1240,19 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
             // consumers never see the replica as still live.
             set_phase(*r, Phase::kDead);
             replicas_.erase(event.group.value);
-            // Any chunked or bulk send our replica was sourcing dies with it.
-            if (outgoing_chunks_.erase(event.group.value) > 0) {
-              stats_.chunk_sends_aborted += 1;
-            }
-            abort_bulk_send(event.group, /*fallback=*/false);
+            source_removed = true;
           }
         }
-        // GC chunked transfers tied to the removed replica: an outgoing send
-        // serving it would keep multicasting chunks nobody applies, and a
-        // partial reassembly for it would collide with a later transfer
-        // keyed to the same (group, epoch).
-        auto out_it = outgoing_chunks_.find(event.group.value);
-        if (out_it != outgoing_chunks_.end() &&
-            out_it->second.subject == event.replica) {
-          stats_.chunk_sends_aborted += 1;
-          outgoing_chunks_.erase(out_it);
-        }
-        for (auto it = incoming_chunks_.begin(); it != incoming_chunks_.end();) {
-          if (it->first.first == event.group.value &&
-              it->second.subject == event.replica) {
-            stats_.state_chunk_aborts += 1;
-            it = incoming_chunks_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        // Likewise for bulk transfers serving the removed replica: the
-        // sender's stream, the reassembly, and the resume stash (the subject
-        // is gone for good — a relaunch gets a fresh replica id).
-        auto bulk_it = outgoing_bulk_.find(event.group.value);
-        if (bulk_it != outgoing_bulk_.end() &&
-            bulk_it->second.subject == event.replica) {
-          abort_bulk_send(event.group, /*fallback=*/false);
-        }
-        gc_bulk_incoming(event.group.value, event.replica, 0);
+        // End the transfers tied to the removed replica: a send serving it
+        // would keep shipping state nobody applies, a partial reassembly for
+        // it would collide with a later transfer keyed to the same (group,
+        // epoch), and its resume stash is dead (a relaunch gets a fresh
+        // replica id). Any send our removed replica was sourcing dies too.
+        drop_transfers(TransferEnd::kReplicaRemoved, [&](const TransferRef& t) {
+          return t.group == event.group &&
+                 (t.subject == event.replica || (t.outgoing && source_removed));
+        });
+        bulk_stash_.erase({event.group.value, event.replica.value});
         awaiting_get_state_[event.group.value].erase(event.replica.value);
         recovery_base_.erase({event.group.value, event.replica.value});
         // The removed replica may have been the state source of an ongoing

@@ -24,6 +24,11 @@
 
 namespace eternal::core {
 
+namespace {
+/// How long a oneway FOM holds its slot before it retires (quiescence bound).
+constexpr util::Duration kOnewayGrace{200'000};
+}  // namespace
+
 const exec::ReplicaEngine* Mechanisms::engine_of(GroupId group) const {
   const LocalReplica* r = local_replica(group);
   return r == nullptr ? nullptr : &r->engine;
@@ -130,7 +135,7 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   const GroupId group = r.group;
   const ReplicaId incarnation = r.id;
   const std::uint64_t position = fom.position;
-  sim_.schedule(config_.oneway_grace, [this, group, incarnation, position] {
+  sim_.schedule(kOnewayGrace, [this, group, incarnation, position] {
     LocalReplica* replica = local_replica(group);
     if (replica == nullptr || replica->id != incarnation ||
         replica->phase == Phase::kDead) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/percentile.hpp"
+
 namespace eternal::obs::critpath {
 namespace {
 
@@ -141,15 +143,9 @@ SegStats aggregate(std::vector<util::Duration> samples) {
   util::Duration total{};
   for (util::Duration d : samples) total += d;
   out.mean = util::Duration(total.count() / static_cast<std::int64_t>(samples.size()));
-  const auto rank = [&samples](double p) {
-    // Nearest-rank over exact sample values, the same formula as
-    // workload::LatencyProfile::percentile so bench columns agree.
-    const double r = p / 100.0 * static_cast<double>(samples.size() - 1);
-    return samples[static_cast<std::size_t>(r + 0.5)];
-  };
-  out.p50 = rank(50.0);
-  out.p95 = rank(95.0);
-  out.p99 = rank(99.0);
+  out.p50 = util::nearest_rank(samples, 50.0);
+  out.p95 = util::nearest_rank(samples, 95.0);
+  out.p99 = util::nearest_rank(samples, 99.0);
   return out;
 }
 

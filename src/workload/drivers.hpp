@@ -18,6 +18,7 @@
 
 #include "orb/orb.hpp"
 #include "sim/simulator.hpp"
+#include "util/percentile.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -44,8 +45,7 @@ class LatencyProfile {
     if (samples_.empty()) return util::Duration::zero();
     std::vector<util::Duration> sorted = samples_;
     std::sort(sorted.begin(), sorted.end());
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<std::size_t>(rank + 0.5)];
+    return util::nearest_rank(sorted, p);
   }
 
   util::Duration max() const {

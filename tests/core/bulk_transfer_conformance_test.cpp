@@ -1,7 +1,7 @@
 // Bulk-lane transfer-equivalence harness (ISSUE 9 tentpole deliverable).
 //
 // The out-of-band bulk lane (MechanismsConfig::bulk_lane, src/sim/bulk_lane
-// + src/core/mechanisms_bulk.cpp) moves large set_state images off the
+// + src/core/mechanisms_transfer.cpp) moves large set_state images off the
 // ordered ring: the ring carries only a skinny kStateBulkDescriptor and a
 // totally ordered kStateBulkComplete marker while the image streams
 // point-to-point with per-extent digests, acks and retries. The optimisation

@@ -1,7 +1,7 @@
 // Virtual-behaviour fingerprints.
 //
 // determinism_test proves that one build replays a seed byte-identically.
-// This suite pins same-seed behaviour *across builds*: nine short canonical
+// This suite pins same-seed behaviour *across builds*: eleven short canonical
 // scenarios each reduce their trace stream and their per-client reply
 // schedule to 64-bit digests, compared with the goldens in
 // tests/data/fingerprints.txt. A host-speed or refactoring change (event
@@ -249,6 +249,109 @@ Fingerprint bulk() {
       [](const core::MechanismsStats& s) { EXPECT_GT(s.bulk_transfers_completed, 0u); });
 }
 
+/// The bulk lane dies mid-stream: the sender exhausts its extent retries,
+/// aborts, and re-publishes the same epoch through the chunked carrier.
+Fingerprint bulk_fallback() {
+  SystemConfig cfg;
+  cfg.seed = 67;
+  cfg.mechanisms.state_chunk_bytes = 512;
+  cfg.mechanisms.bulk_lane = true;
+  cfg.mechanisms.bulk_extent_bytes = 1024;
+  cfg.bulk_lane.bandwidth_bps = 8e6;  // 1 MB/s: the outage lands mid-stream
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(2), {NodeId{1}, NodeId{2}}, 20'000);
+  rig.add_client("a", NodeId{3}, {g});
+  rig.add_client("b", NodeId{4}, {g});
+  rig.burst(10, 300 * kUs);
+  rig.sys().kill_replica(NodeId{2}, g);
+  rig.burst(10, 300 * kUs);
+  rig.sys().relaunch_replica(NodeId{2}, g);
+  rig.sys().run_for(5 * kMs);
+  rig.sys().bulk_lane().set_enabled(false);
+  rig.burst(20, 300 * kUs);
+  EXPECT_TRUE(rig.sys().run_until(
+      [&] { return rig.sys().mech(NodeId{2}).hosts_operational(g); }, 2'000 * kMs));
+  rig.burst(10, 300 * kUs);
+  // Transfer counters recorded before the state-transfer pipeline was
+  // unified; the carriers' GC and fallback accounting must not move.
+  const core::MechanismsStats& sender = rig.sys().mech(NodeId{1}).stats();
+  const core::MechanismsStats& recoverer = rig.sys().mech(NodeId{2}).stats();
+  EXPECT_EQ(sender.bulk_fallbacks_chunked, 1u);
+  EXPECT_EQ(sender.bulk_transfers_aborted, 1u);
+  EXPECT_EQ(recoverer.bulk_transfers_aborted, 1u);
+  EXPECT_EQ(recoverer.bulk_transfers_completed, 0u);
+  EXPECT_EQ(recoverer.state_chunks_received, 40u);
+  return rig.finish();
+}
+
+/// An active triple: two live sources answer each recovery epoch of the
+/// third replica. With the bulk lane on, the sender whose descriptor is
+/// ordered second stands down. With the lane off, both sources chunk: the
+/// first sender's chunks win and the rival's count as duplicates. The
+/// recoverer is killed once mid-transfer, so both sources abort their sends
+/// when its removal is delivered. Then a source is killed mid-transfer: its
+/// own send dies with its removal, and the survivor serves the recovery.
+Fingerprint chunked_rivals() {
+  SystemConfig cfg;
+  cfg.nodes = 5;
+  cfg.seed = 71;
+  cfg.mechanisms.state_chunk_bytes = 512;
+  cfg.mechanisms.bulk_lane = true;
+  cfg.mechanisms.bulk_extent_bytes = 1024;
+  Rig rig(cfg);
+  const GroupId g = rig.deploy_counter("counter", active(3),
+                                       {NodeId{1}, NodeId{2}, NodeId{3}}, 40'000);
+  rig.add_client("a", NodeId{4}, {g});
+  rig.add_client("b", NodeId{5}, {g});
+  const auto recovered = [&] {
+    return rig.sys().run_until(
+        [&] { return rig.sys().mech(NodeId{3}).hosts_operational(g); }, 2'000 * kMs);
+  };
+  rig.burst(10, 300 * kUs);
+  rig.sys().kill_replica(NodeId{3}, g);
+  rig.burst(10, 300 * kUs);
+  rig.sys().relaunch_replica(NodeId{3}, g);
+  rig.burst(10, 300 * kUs);
+  EXPECT_TRUE(recovered());
+
+  rig.sys().bulk_lane().set_enabled(false);
+  rig.sys().kill_replica(NodeId{3}, g);
+  rig.burst(10, 300 * kUs);
+  rig.sys().relaunch_replica(NodeId{3}, g);
+  rig.sys().run_for(2 * kMs);
+  rig.sys().kill_replica(NodeId{3}, g);
+  rig.burst(10, 300 * kUs);
+  rig.sys().relaunch_replica(NodeId{3}, g);
+  rig.burst(10, 300 * kUs);
+  EXPECT_TRUE(recovered());
+
+  rig.sys().kill_replica(NodeId{3}, g);
+  rig.burst(10, 300 * kUs);
+  rig.sys().relaunch_replica(NodeId{3}, g);
+  rig.sys().run_for(2 * kMs);
+  rig.sys().kill_replica(NodeId{1}, g);
+  rig.burst(10, 300 * kUs);
+  EXPECT_TRUE(recovered());
+  rig.burst(10, 300 * kUs);
+  // Per-node transfer counters recorded before the state-transfer pipeline
+  // was unified (nodes 1 and 2 are the rival sources, node 3 recovers).
+  struct Expected {
+    std::uint64_t duplicates, chunk_sends_aborted, chunk_aborts, bulk_aborted;
+  };
+  const Expected expected[] = {{148, 2, 4, 0}, {148, 1, 4, 1}, {148, 0, 4, 0}};
+  for (std::uint32_t n = 1; n <= 3; ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const core::MechanismsStats& s = rig.sys().mech(NodeId{n}).stats();
+    const Expected& want = expected[n - 1];
+    EXPECT_EQ(s.state_chunk_duplicates, want.duplicates);
+    EXPECT_EQ(s.chunk_sends_aborted, want.chunk_sends_aborted);
+    EXPECT_EQ(s.state_chunk_aborts, want.chunk_aborts);
+    EXPECT_EQ(s.bulk_transfers_aborted, want.bulk_aborted);
+  }
+  EXPECT_EQ(rig.sys().mech(NodeId{3}).stats().bulk_transfers_completed, 1u);
+  return rig.finish();
+}
+
 /// Warm-passive group with chained delta checkpoints: the primary is
 /// killed (promotion replays checkpoint + deltas + log) and relaunched.
 Fingerprint delta() {
@@ -369,6 +472,7 @@ const Scenario kScenarios[] = {
     {"clean", clean},     {"lossy", lossy}, {"reformation", reformation},
     {"chunked", chunked}, {"bulk", bulk},   {"delta", delta},
     {"rings4", rings4},   {"fom_c4", fom_c4}, {"cold_restart", cold_restart},
+    {"bulk_fallback", bulk_fallback}, {"chunked_rivals", chunked_rivals},
 };
 
 TEST(Fingerprint, CanonicalScenariosMatchGoldens) {
