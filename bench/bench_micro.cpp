@@ -91,7 +91,7 @@ void BM_EnvelopeRoundTrip(benchmark::State& state) {
   e.client_group = util::GroupId{7};
   e.target_group = util::GroupId{9};
   e.op_seq = 123456;
-  e.payload.assign(512, 0xEE);
+  e.payload = util::Bytes(512, 0xEE);
   for (auto _ : state) {
     const util::Bytes wire = core::encode_envelope(e);
     benchmark::DoNotOptimize(core::decode_envelope(wire)->op_seq);
@@ -170,27 +170,41 @@ void BM_SimScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScheduleFire)->Arg(16)->Arg(4096);
 
-/// Token-timer pattern: every received frame cancels and re-arms a 5 ms
-/// timeout (TotemNode::arm_token_timer), so most timers die cancelled.
-/// One iteration = one frame arrival event plus its cancel + re-arm.
+/// Token-timer pattern: every received frame re-arms a 5 ms timeout
+/// (TotemNode::arm_token_timer), so most timers never fire. One iteration =
+/// one frame arrival event plus its re-arm, either cancel + schedule
+/// (range(1) == 0) or an in-place reschedule (range(1) == 1, what
+/// arm_token_timer does).
 void BM_SimCancelRearm(benchmark::State& state) {
   sim::Simulator sim;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     sim.schedule(util::Duration(kFarFuture + i), [] {});
   }
+  const bool in_place = state.range(1) != 0;
   sim::EventId timer{};
   std::uint64_t timeouts = 0;
   for (auto _ : state) {
     sim.schedule(util::Duration(10'000), [&] {
-      sim.cancel(timer);
-      timer = sim.schedule(util::Duration(5'000'000), [&timeouts] { ++timeouts; });
+      const util::TimePoint when = sim.now() + util::Duration(5'000'000);
+      if (in_place) {
+        timer = sim.reschedule(timer, when);
+        if (timer != sim::EventId{}) return;
+      } else {
+        sim.cancel(timer);
+      }
+      timer = sim.schedule_at(when, [&timeouts] { ++timeouts; });
     });
     sim.step();
   }
   benchmark::DoNotOptimize(timeouts);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SimCancelRearm)->Arg(16)->Arg(4096);
+BENCHMARK(BM_SimCancelRearm)
+    ->ArgNames({"pending", "reschedule"})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({4096, 0})
+    ->Args({4096, 1});
 
 /// Totem frame store in its steady state: insert the next sequence number
 /// (moving a decoded frame in), look up the delivery head and a

@@ -66,14 +66,16 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo
-echo "== ASan/UBSan: sim/totem kernel + obs + core suites =="
+echo "== ASan/UBSan: sim/totem kernel + message path + obs + core suites =="
 cmake -B build-asan -S . -DETERNAL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   sim_test totem_test totem_protocol_test fingerprint_test \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
   passive_test critpath_test fast_state_transfer_test recovery_hazards_test \
   batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
-  chaos_script_test fleet_stats_test
+  chaos_script_test fleet_stats_test \
+  util_test giop_test core_unit_test orb_test interceptor_test decode_fuzz_test \
+  wire_identity_test
 # sim_test and totem_test hold the event-queue and frame-store differential
 # tests: sim::Callback placement-news callables into raw slot storage and
 # the frame store recycles ring slots, so both run under the sanitizers.
@@ -87,6 +89,14 @@ for t in sim_test totem_test totem_protocol_test fingerprint_test \
          chaos_script_test fleet_stats_test; do
   "build-asan/tests/$t"
 done
+# The message path passes received bytes up the stack as refcounted slices
+# (util::SharedBytes) and borrowed views (giop::Inspection), so their
+# lifetimes rest on buffer ownership: run the codec, slice, ORB and
+# interceptor suites under the sanitizers, with a bounded decode fuzz.
+for t in util_test giop_test core_unit_test orb_test interceptor_test wire_identity_test; do
+  "build-asan/tests/$t"
+done
+ETERNAL_FUZZ_ITERS=64 "build-asan/tests/decode_fuzz_test"
 # Batch packing/unpacking moves raw payload bytes on the hot path; run the
 # fast ordering-equivalence seeds under the sanitizers too.
 "build-asan/tests/batching_equivalence_test" --gtest_filter='BatchingEquivalenceFast.*'

@@ -6,11 +6,12 @@ namespace eternal::core {
 
 namespace {
 constexpr std::uint16_t kMagic = 0xE7E4;
-}
 
-Bytes encode_envelope(const Envelope& e) {
-  util::CdrWriter w;
-  w.put_u8(static_cast<std::uint8_t>(w.order()));
+/// The envelope layout, written once for CdrSizer (exact size) and
+/// CdrWriter (the bytes).
+template <typename W>
+void put_envelope(W& w, const Envelope& e) {
+  w.put_u8(static_cast<std::uint8_t>(util::host_byte_order()));
   w.put_u8(static_cast<std::uint8_t>(e.kind));
   w.put_u16(kMagic);
   w.put_u32(e.ring);
@@ -34,10 +35,12 @@ Bytes encode_envelope(const Envelope& e) {
   w.put_octets(e.orb_state);
   w.put_octets(e.infra_state);
   w.put_octets(e.control_data);
-  return std::move(w).take();
 }
 
-std::optional<Envelope> decode_envelope(BytesView data) {
+/// Decodes the envelope in `data`; `payload_of` turns the payload's view
+/// into the stored SharedBytes (a slice of the buffer, or a copy).
+template <typename PayloadOf>
+std::optional<Envelope> decode_with(BytesView data, PayloadOf&& payload_of) {
   try {
     if (data.size() < 4) return std::nullopt;
     util::CdrReader r(data, static_cast<util::ByteOrder>(data[0] & 1));
@@ -92,7 +95,7 @@ std::optional<Envelope> decode_envelope(BytesView data) {
         if (e.chunk_index >= e.chunk_count) return std::nullopt;
       }
     }
-    e.payload = r.get_octets();
+    e.payload = payload_of(r.get_octets_view());
     e.orb_state = r.get_octets();
     e.infra_state = r.get_octets();
     e.control_data = r.get_octets();
@@ -109,6 +112,24 @@ std::optional<Envelope> decode_envelope(BytesView data) {
   } catch (const util::CdrError&) {
     return std::nullopt;
   }
+}
+
+}  // namespace
+
+Bytes encode_envelope(const Envelope& e) {
+  util::CdrSizer sizer;
+  put_envelope(sizer, e);
+  util::CdrWriter w(util::host_byte_order(), sizer.size());
+  put_envelope(w, e);
+  return std::move(w).take();
+}
+
+std::optional<Envelope> decode_envelope(const util::SharedBytes& data) {
+  return decode_with(data, [&](BytesView payload) { return data.slice(payload); });
+}
+
+std::optional<Envelope> decode_envelope(BytesView data) {
+  return decode_with(data, [](BytesView payload) { return util::SharedBytes::copy_of(payload); });
 }
 
 Bytes encode_initial_members(const std::vector<InitialMember>& members) {

@@ -15,6 +15,7 @@
 #include "util/bytes.hpp"
 #include "util/cdr.hpp"
 #include "util/ids.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::core {
 
@@ -121,7 +122,8 @@ struct Envelope {
   /// kSetState/kCheckpoint: the application-level state (a get_state reply
   /// body, i.e. an encoded Any).
   /// kStateChunk: one slice of the encoded inner envelope.
-  Bytes payload;
+  /// A decoded envelope's payload is a slice of the received buffer.
+  util::SharedBytes payload;
 
   /// kSetState/kCheckpoint: piggybacked ORB/POA-level state snapshot.
   Bytes orb_state;
@@ -135,8 +137,14 @@ struct Envelope {
 /// Serializes an envelope for multicasting.
 Bytes encode_envelope(const Envelope& e);
 
-/// Decodes; nullopt on malformed bytes.
+/// Decodes; nullopt on malformed bytes. The payload is a slice of `data`
+/// (no copy); the other byte fields are copied.
+std::optional<Envelope> decode_envelope(const util::SharedBytes& data);
+/// Same, for bytes held elsewhere: the payload is copied out.
 std::optional<Envelope> decode_envelope(BytesView data);
+inline std::optional<Envelope> decode_envelope(const Bytes& data) {
+  return decode_envelope(BytesView(data));
+}
 
 /// Initial-member list carried in a kCreateGroup envelope's payload.
 struct InitialMember {

@@ -17,21 +17,11 @@ constexpr const char* kTag = "eternal";
 /// Rewrites the GIOP request_id of a framed Request or Reply, preserving
 /// everything else. This is how Eternal keeps the GIOP headers of new and
 /// existing replicas consistent (§4.2.1): translation at the interception
-/// boundary, never inside the ORB.
-util::Bytes rewrite_request_id(util::BytesView iiop, std::uint32_t new_rid) {
-  std::optional<giop::Message> msg = giop::decode(iiop);
-  if (!msg) return util::Bytes(iiop.begin(), iiop.end());
-  if (msg->type() == giop::MsgType::kRequest) {
-    giop::Request m = std::get<giop::Request>(std::move(msg->body));
-    m.request_id = new_rid;
-    return giop::encode(m, msg->order);
-  }
-  if (msg->type() == giop::MsgType::kReply) {
-    giop::Reply m = std::get<giop::Reply>(std::move(msg->body));
-    m.request_id = new_rid;
-    return giop::encode(m, msg->order);
-  }
-  return util::Bytes(iiop.begin(), iiop.end());
+/// boundary, never inside the ORB. The id field is patched in place
+/// (giop::patch_request_id); any other message passes through unchanged.
+util::Bytes rewrite_request_id(util::Bytes iiop, std::uint32_t new_rid) {
+  (void)giop::patch_request_id(iiop, new_rid);
+  return iiop;
 }
 
 GroupId group_of_endpoint(const orb::Endpoint& e) {
@@ -435,8 +425,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   if (is_handshake && conn.handshake_done && config_.replay_handshakes &&
       !conn.handshake_reply.empty()) {
     stats_.handshakes_answered_locally += 1;
-    util::Bytes reply = rewrite_request_id(conn.handshake_reply, info.request_id);
-    tap_.inject(to, reply);
+    tap_.inject(to, rewrite_request_id(conn.handshake_reply, info.request_id));
     return;
   }
 
@@ -449,7 +438,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     group_rid = conn.next_group_rid++;
     wire = (group_rid == info.request_id)
                ? std::move(iiop)
-               : rewrite_request_id(iiop, static_cast<std::uint32_t>(group_rid));
+               : rewrite_request_id(std::move(iiop), static_cast<std::uint32_t>(group_rid));
   } else {
     group_rid = info.request_id;
     conn.next_group_rid = std::max(conn.next_group_rid, group_rid + 1);
@@ -472,8 +461,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     auto cached = conn.reply_cache.find(group_rid);
     if (cached != conn.reply_cache.end()) {
       stats_.replies_answered_from_cache += 1;
-      util::Bytes reply = rewrite_request_id(cached->second, info.request_id);
-      tap_.inject(to, reply);
+      tap_.inject(to, rewrite_request_id(cached->second, info.request_id));
       return;
     }
   }

@@ -415,7 +415,9 @@ class Mechanisms final : public interceptor::Diversion,
   GroupId client_group_for(GroupId server_group);
 
   // ---- delivery ----
-  void deliver_request(const Envelope& e);
+  void deliver_request(Envelope&& e);
+  /// Appends a delivered message to the group's log and persists it.
+  void log_message(GroupId group, Envelope&& e);
   void deliver_reply(const Envelope& e);
   void deliver_get_state(const Envelope& e);
   void deliver_set_state(const Envelope& e);

@@ -18,15 +18,15 @@ constexpr std::size_t kReplyCacheCap = 1024;
 /// Process spawn time of a cold-passive restart.
 constexpr util::Duration kColdStartDelay{2'000'000};
 
-util::Bytes rewrite_reply_id(util::BytesView iiop, std::uint32_t new_rid) {
-  std::optional<giop::Message> msg = giop::decode(iiop);
-  if (!msg || msg->type() != giop::MsgType::kReply) {
-    return util::Bytes(iiop.begin(), iiop.end());
-  }
-  giop::Reply m = std::get<giop::Reply>(std::move(msg->body));
-  if (m.request_id == new_rid) return util::Bytes(iiop.begin(), iiop.end());
-  m.request_id = new_rid;
-  return giop::encode(m, msg->order);
+/// The reply `iiop` with its request_id patched to `new_rid`: the shared
+/// bytes themselves when the id already matches (or `iiop` is not a
+/// Reply), else a patched copy.
+util::SharedBytes rewrite_reply_id(const util::SharedBytes& iiop, std::uint32_t new_rid) {
+  const std::optional<giop::Inspection> info = giop::inspect(iiop);
+  if (!info || info->type != giop::MsgType::kReply || info->request_id == new_rid) return iiop;
+  util::Bytes patched = iiop.to_bytes();
+  (void)giop::patch_request_id(patched, new_rid);
+  return patched;
 }
 }  // namespace
 
@@ -37,6 +37,8 @@ void Mechanisms::on_deliver(const totem::Delivery& delivery) {
 }
 
 void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery) {
+  // The envelope's payload is a slice of the delivered frame: from here to
+  // the ORB the request or reply bytes are passed on, never copied.
   std::optional<Envelope> env = decode_envelope(delivery.payload);
   if (!env) {
     ETERNAL_LOG(kWarn, kTag, "malformed envelope delivered; dropped");
@@ -58,7 +60,7 @@ void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delive
     return;
   }
   switch (env->kind) {
-    case EnvelopeKind::kRequest: deliver_request(*env); return;
+    case EnvelopeKind::kRequest: deliver_request(std::move(*env)); return;
     case EnvelopeKind::kReply: deliver_reply(*env); return;
     case EnvelopeKind::kGetState: deliver_get_state(*env); return;
     case EnvelopeKind::kSetState: deliver_set_state(*env); return;
@@ -211,7 +213,14 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
 
 // ------------------------------------------------------------------ routing
 
-void Mechanisms::deliver_request(const Envelope& e) {
+void Mechanisms::log_message(GroupId group, Envelope&& e) {
+  MessageLog& log = logs_[group.value];
+  log.append(std::move(e));
+  stats_.messages_logged += 1;
+  persist_append(group, log.messages().back());
+}
+
+void Mechanisms::deliver_request(Envelope&& e) {
   SeqWindow& seen = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_requests_suppressed += 1;
@@ -223,7 +232,7 @@ void Mechanisms::deliver_request(const Envelope& e) {
     }
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
-        if (const obs::TraceId t = giop::trace_context_of(dup->service_context)) {
+        if (const obs::TraceId t = dup->trace_id()) {
           spans->instant(t, node_, obs::Layer::kMech, "request-dup", sim_.now(),
                          "op_seq=" + std::to_string(e.op_seq));
         }
@@ -246,7 +255,7 @@ void Mechanisms::deliver_request(const Envelope& e) {
   std::optional<giop::Inspection> info = giop::inspect(e.payload);
   if (stakeholder && info && info->has_context(giop::kVendorHandshakeContextId)) {
     server_handshakes_[std::make_pair(e.target_group.value,
-                                      orb::group_endpoint(e.client_group))] = e.payload;
+                                      orb::group_endpoint(e.client_group))] = e.payload.to_bytes();
     stats_.handshakes_stored += 1;
   }
 
@@ -255,7 +264,7 @@ void Mechanisms::deliver_request(const Envelope& e) {
   // per-replica "deliver" span opens for the quiescence-gated queue wait.
   obs::SpanStore* const spans = rec_.spans();
   const obs::TraceId trace =
-      (spans != nullptr && info) ? giop::trace_context_of(info->service_context) : 0;
+      (spans != nullptr && info) ? info->trace_id() : 0;
   if (trace != 0) spans->end_named(trace, "order-wait", sim_.now());
 
   const bool passive = entry->desc.properties.style != ReplicationStyle::kActive;
@@ -266,13 +275,9 @@ void Mechanisms::deliver_request(const Envelope& e) {
         // The passive primary's node maintains the same checkpoint+message
         // log as every other log-keeping site, so a total failure can be
         // restored from *any* surviving stakeholder (§3.3).
-        if (passive) {
-          logs_[e.target_group.value].append(e);
-          stats_.messages_logged += 1;
-          persist_append(e.target_group, e);
-        }
+        if (passive) log_message(e.target_group, Envelope(e));
         trace_enqueue(*r, e);
-        QueueItem item{QueueItem::Kind::kRequest, e};
+        QueueItem item{QueueItem::Kind::kRequest, std::move(e)};
         if (trace != 0) {
           item.trace = trace;
           item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
@@ -291,12 +296,10 @@ void Mechanisms::deliver_request(const Envelope& e) {
         // after recovery AND keeps this node's log gap-free should it have
         // to restore the whole group from it later.
         if (passive) {
-          logs_[e.target_group.value].append(e);
-          stats_.messages_logged += 1;
-          persist_append(e.target_group, e);
+          log_message(e.target_group, std::move(e));
         } else {
           trace_enqueue(*r, e);
-          QueueItem item{QueueItem::Kind::kRequest, e};
+          QueueItem item{QueueItem::Kind::kRequest, std::move(e)};
           if (trace != 0) {
             item.trace = trace;
             item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
@@ -311,19 +314,13 @@ void Mechanisms::deliver_request(const Envelope& e) {
       }
       case Phase::kBackup:
       case Phase::kReplaying: {
-        logs_[e.target_group.value].append(e);
-        stats_.messages_logged += 1;
-        persist_append(e.target_group, e);
+        log_message(e.target_group, std::move(e));
         return;
       }
       case Phase::kDead:
         // The process is gone, but a passive log-keeping site must not
         // develop a gap: keep logging until the replacement takes over.
-        if (passive) {
-          logs_[e.target_group.value].append(e);
-          stats_.messages_logged += 1;
-          persist_append(e.target_group, e);
-        }
+        if (passive) log_message(e.target_group, std::move(e));
         return;
     }
     return;
@@ -334,9 +331,7 @@ void Mechanisms::deliver_request(const Envelope& e) {
   if (passive &&
       std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(), node_) !=
           entry->desc.backup_nodes.end()) {
-    logs_[e.target_group.value].append(e);
-    stats_.messages_logged += 1;
-    persist_append(e.target_group, e);
+    log_message(e.target_group, std::move(e));
   }
 }
 
@@ -352,7 +347,7 @@ void Mechanisms::deliver_reply(const Envelope& e) {
     }
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
-        if (const obs::TraceId t = giop::trace_context_of(dup->service_context)) {
+        if (const obs::TraceId t = dup->trace_id()) {
           spans->instant(t, node_, obs::Layer::kMech, "reply-dup", sim_.now(),
                          "op_seq=" + std::to_string(e.op_seq));
         }
@@ -373,12 +368,12 @@ void Mechanisms::deliver_reply(const Envelope& e) {
 
   OutboundConn& conn = outbound_conn(e.client_group, e.target_group);
   if (conn.handshake_group_rid.has_value() && *conn.handshake_group_rid == e.op_seq) {
-    conn.handshake_reply = e.payload;
+    conn.handshake_reply = e.payload.to_bytes();
     conn.handshake_done = true;
   }
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
-  conn.reply_cache[e.op_seq] = e.payload;
+  conn.reply_cache[e.op_seq] = e.payload.to_bytes();
   while (conn.reply_cache.size() > kReplyCacheCap) {
     conn.reply_cache.erase(conn.reply_cache.begin());
   }
@@ -396,15 +391,16 @@ void Mechanisms::deliver_reply(const Envelope& e) {
   // own ORB assigned (§4.2.1). If this replica never issued the operation,
   // the reply goes in untranslated and the ORB's own matching applies.
   auto local_it = conn.group_to_local.find(e.op_seq);
-  util::Bytes wire = (config_.sync_request_ids && local_it != conn.group_to_local.end())
-                         ? rewrite_reply_id(e.payload, local_it->second)
-                         : e.payload;
+  const util::SharedBytes wire =
+      (config_.sync_request_ids && local_it != conn.group_to_local.end())
+          ? rewrite_reply_id(e.payload, local_it->second)
+          : e.payload;
   stats_.replies_delivered += 1;
   // The first client replica to hand the reply to its ORB completes the
   // invocation's span tree (duplicates at other clients are suppressed above).
   if (obs::SpanStore* spans = rec_.spans()) {
     if (auto rinfo = giop::inspect(e.payload)) {
-      if (const obs::TraceId t = giop::trace_context_of(rinfo->service_context)) {
+      if (const obs::TraceId t = rinfo->trace_id()) {
         spans->end_named(t, "reply", sim_.now());
         spans->end_named(t, "invocation", sim_.now());
       }
@@ -519,7 +515,7 @@ void Mechanisms::publish_state(LocalReplica& r, const CurrentDispatch& d,
   e.op_seq = d.op_seq;
   e.subject = d.subject;
   e.subject_node = node_;
-  e.payload = msg->as_reply().body;
+  e.payload = std::move(std::get<giop::Reply>(msg->body).body);
   if (d.delta_since != 0) {
     // _get_delta reply: either a real delta or the inline full-state
     // fallback; both arrive in the same totally-ordered round.
@@ -737,7 +733,7 @@ void Mechanisms::apply_state(LocalReplica& r, const Envelope& e, bool is_checkpo
   request.response_expected = true;
   request.object_key = util::bytes_of(entry->desc.object_id);
   request.operation = e.delta_base != 0 ? kApplyDeltaOp : kSetStateOp;
-  request.body = e.payload;
+  request.body = e.payload.to_bytes();
 
   CurrentDispatch d;
   d.kind = CurrentDispatch::Kind::kSetState;
@@ -769,7 +765,7 @@ void Mechanisms::inject_stored_handshakes(GroupId group) {
     handshake_flights_[std::make_pair(key.second, info->request_id)].push_back(
         HandshakeFlight{group, /*replay=*/true});
     stats_.handshakes_injected += 1;
-    tap_.inject(key.second, handshake);
+    tap_.inject(key.second, util::SharedBytes::copy_of(handshake));
   }
 }
 

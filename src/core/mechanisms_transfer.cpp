@@ -135,8 +135,7 @@ Envelope Mechanisms::transfer_envelope(EnvelopeKind kind, const StateSend& s,
   x.chunk_index = static_cast<std::uint32_t>(index);
   x.chunk_count = static_cast<std::uint32_t>(s.slices());
   if (kind == EnvelopeKind::kStateChunk || kind == EnvelopeKind::kBulkExtent) {
-    const BytesView bytes = s.slice(index);
-    x.payload.assign(bytes.begin(), bytes.end());
+    x.payload = util::SharedBytes::copy_of(s.slice(index));
   }
   if (kind == EnvelopeKind::kStateChunk) return x;
   x.transfer_id = s.transfer_id;
@@ -270,7 +269,7 @@ void Mechanisms::deliver_state_chunk(const Envelope& e) {
     stats_.state_chunk_duplicates += 1;
     return;
   }
-  ra.parts[e.chunk_index] = e.payload;
+  ra.parts[e.chunk_index] = e.payload.to_bytes();
   ra.received += 1;
   stats_.state_chunks_received += 1;
   if (obs::SpanStore* spans = rec_.spans()) {
@@ -433,7 +432,7 @@ void Mechanisms::handle_bulk_extent(NodeId from, const Envelope& e) {
                                        << e.transfer_id << " failed digest verify; dropped");
     return;  // no ack — the sender re-ships it (or exhausts and falls back)
   }
-  re.parts[e.chunk_index] = e.payload;
+  re.parts[e.chunk_index] = e.payload.to_bytes();
   re.received += 1;
   stats_.bulk_extents_received += 1;
   if (obs::SpanStore* spans = rec_.spans()) {
@@ -538,7 +537,8 @@ bool Mechanisms::assemble_and_deliver(const StateReassembly& re) {
   Bytes encoded;
   encoded.reserve(total);
   for (const Bytes& part : re.parts) encoded.insert(encoded.end(), part.begin(), part.end());
-  std::optional<Envelope> inner = decode_envelope(encoded);
+  // The inner envelope's payload is a slice of the reassembled image.
+  std::optional<Envelope> inner = decode_envelope(util::SharedBytes(std::move(encoded)));
   if (!inner || inner->kind != EnvelopeKind::kSetState) {
     ETERNAL_LOG(kWarn, kTag, "malformed reassembled state envelope; dropped");
     return false;

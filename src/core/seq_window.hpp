@@ -20,6 +20,13 @@ class SeqWindow {
   /// caller should process it), false for a duplicate.
   bool test_and_insert(std::uint64_t seq) {
     if (seq < next_) return false;
+    // In-order fast path (the common case for every delivered request and
+    // reply): extend the prefix without a set node. UINT64_MAX takes the
+    // slow path so it stays recorded in sparse_ (see compact()).
+    if (seq == next_ && sparse_.empty() && seq != std::numeric_limits<std::uint64_t>::max()) {
+      ++next_;
+      return true;
+    }
     if (!sparse_.insert(seq).second) return false;
     compact();
     return true;

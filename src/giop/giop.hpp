@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -142,21 +143,43 @@ Bytes encode(const MessageError& m, ByteOrder order = util::host_byte_order());
 /// Decodes a framed GIOP message; nullopt on malformed input.
 std::optional<Message> decode(BytesView data);
 
-/// Lightweight header-only inspection, used by Eternal's interceptor to
-/// discover ORB/POA-level state without fully decoding bodies.
+/// Header-only inspection, used by Eternal's interceptor to discover
+/// ORB/POA-level state without decoding bodies. Nothing is copied: the
+/// views point into the inspected buffer and are valid only while it is.
 struct Inspection {
-  MsgType type;
+  MsgType type = MsgType::kRequest;
+  ByteOrder order = ByteOrder::kLittle;
   std::uint32_t request_id = 0;  ///< 0 for types without one
-  Bytes object_key;              ///< Request / LocateRequest only
-  std::string operation;         ///< Request only
+  BytesView object_key;          ///< Request / LocateRequest only
+  std::string_view operation;    ///< Request only
   bool response_expected = true; ///< Request only
+  /// Reply: the reply status; LocateReply: the locate status; else 0.
+  std::uint32_t status = 0;
+  /// Offset of the request_id field (0 for types without one).
+  std::size_t request_id_offset = 0;
+  /// Offset where the body starts (Request / Reply; the message size else).
+  std::size_t body_offset = 0;
+
   bool has_context(std::uint32_t context_id) const noexcept;
-  ServiceContextList service_context;
+  /// The trace id carried in the service contexts: the 8-byte little-endian
+  /// value of the first kTraceContextId entry of that size, or 0.
+  std::uint64_t trace_id() const noexcept;
+  /// The service contexts, copied out (Request / Reply; empty else).
+  ServiceContextList service_context() const;
+
+  BytesView message;             ///< the whole inspected message
+  std::uint32_t context_count = 0;  ///< entries, starting at offset 16
 };
 
-/// Parses just enough of a framed message for the interceptor. nullopt on
-/// malformed input.
+/// Parses and validates the headers of a framed message. It accepts exactly
+/// the inputs decode() accepts; nullopt on malformed input.
 std::optional<Inspection> inspect(BytesView data);
+
+/// Overwrites the request_id of a framed Request or Reply in place (in the
+/// message's own byte order), leaving every other byte as it was — the same
+/// bytes decode, set request_id, encode would produce. Returns false, and
+/// leaves `framed` untouched, for any other or malformed input.
+bool patch_request_id(Bytes& framed, std::uint32_t request_id);
 
 /// Returns true when `data` starts with a well-formed GIOP header whose
 /// message size matches the buffer.
@@ -167,8 +190,5 @@ bool is_giop(BytesView data) noexcept;
 /// Request and Reply messages carry service contexts; any other (or
 /// malformed) input is returned unchanged.
 Bytes with_trace_context(BytesView framed, std::uint64_t trace_id);
-
-/// The trace id carried in `contexts`, or 0 when absent or malformed.
-std::uint64_t trace_context_of(const ServiceContextList& contexts) noexcept;
 
 }  // namespace eternal::giop

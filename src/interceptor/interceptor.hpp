@@ -59,8 +59,9 @@ class Interceptor final : public orb::Transport {
   }
 
   /// Inbound path: the mechanisms deliver a message into the ORB as if it
-  /// had arrived from `from` over TCP.
-  void inject(const orb::Endpoint& from, util::BytesView iiop) {
+  /// had arrived from `from` over TCP. Usually a slice of the delivered
+  /// Totem frame, passed on without a copy.
+  void inject(const orb::Endpoint& from, const util::SharedBytes& iiop) {
     stats_.injected += 1;
     if (ctr_injected_ != nullptr) ctr_injected_->add();
     orb_.on_message(from, iiop);

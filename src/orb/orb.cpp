@@ -381,11 +381,11 @@ void Orb::transmit_invocation(const Endpoint& to, ClientConnection& conn,
   transport_->send(to, giop::encode(request));
 }
 
-void Orb::on_message(const Endpoint& from, BytesView iiop) {
-  // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay.
-  auto copy = std::make_shared<util::Bytes>(iiop.begin(), iiop.end());
-  sim_.schedule(config_.dispatch_overhead, [this, from, copy] {
-    std::optional<giop::Message> msg = giop::decode(*copy);
+void Orb::on_message(const Endpoint& from, const util::SharedBytes& iiop) {
+  // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay. The
+  // delay holds a reference on the (immutable) message, not a copy.
+  sim_.schedule(config_.dispatch_overhead, [this, from, iiop] {
+    std::optional<giop::Message> msg = giop::decode(iiop);
     if (!msg) {
       stats_.decode_errors += 1;
       return;

@@ -186,7 +186,7 @@ class Orb : public MessageSink {
   ObjectRef resolve(const giop::Ior& ior) { return ObjectRef(this, ior); }
 
   /// Inbound IIOP from the socket layer.
-  void on_message(const Endpoint& from, BytesView iiop) override;
+  void on_message(const Endpoint& from, const util::SharedBytes& iiop) override;
 
   const OrbStats& stats() const noexcept { return stats_; }
 

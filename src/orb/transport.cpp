@@ -54,11 +54,11 @@ void TcpNetwork::send_from(const Endpoint& from, const Endpoint& to, Bytes iiop)
   const util::TimePoint arrival = free_at + config_.base_latency;
 
   messages_sent_ += 1;
-  auto payload = std::make_shared<Bytes>(std::move(iiop));
+  const util::SharedBytes payload(std::move(iiop));
   sim_.schedule_at(arrival, [this, from, to, payload] {
     auto port_it = ports_.find(key_of(to));
     if (port_it == ports_.end()) return;
-    port_it->second->sink()->on_message(from, *payload);
+    port_it->second->sink()->on_message(from, payload);
   });
 }
 

@@ -21,6 +21,7 @@
 #include "sim/simulator.hpp"
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::orb {
 
@@ -48,11 +49,12 @@ inline bool is_group_endpoint(const Endpoint& e) noexcept {
   return e.host.value >= kGroupHostBase;
 }
 
-/// Receives inbound IIOP messages (the ORB implements this).
+/// Receives inbound IIOP messages (the ORB implements this). The message
+/// is an immutable shared buffer: a sink may hold on to it without a copy.
 class MessageSink {
  public:
   virtual ~MessageSink() = default;
-  virtual void on_message(const Endpoint& from, BytesView iiop) = 0;
+  virtual void on_message(const Endpoint& from, const util::SharedBytes& iiop) = 0;
 };
 
 /// Where the ORB writes outbound IIOP messages.

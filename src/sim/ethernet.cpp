@@ -58,7 +58,7 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
   const int sender_component = component_of(from);
   // Snapshot recipients now; attachment changes before `arrival` are checked
   // again at delivery time (a station that crashed mid-flight gets nothing).
-  auto shared = std::make_shared<Bytes>(std::move(payload));
+  const util::SharedBytes shared(std::move(payload));
   for (const auto& [node, station] : stations_) {
     if (node == from) continue;
     if (component_of(node) != sender_component) continue;
@@ -73,7 +73,7 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
     sim_.schedule_at(arrival, [this, from, to, shared] {
       auto it = stations_.find(to);
       if (it == stations_.end()) return;  // crashed before arrival
-      it->second->on_frame(from, *shared);
+      it->second->on_frame(from, shared);
     });
   }
 }

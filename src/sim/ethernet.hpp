@@ -21,6 +21,7 @@
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::sim {
 
@@ -48,7 +49,9 @@ class Station {
  public:
   virtual ~Station() = default;
   /// Called when a frame addressed to the segment arrives at this station.
-  virtual void on_frame(NodeId from, BytesView payload) = 0;
+  /// Every receiver of one broadcast shares the same immutable buffer; a
+  /// station may keep slices of it for as long as it likes.
+  virtual void on_frame(NodeId from, const util::SharedBytes& payload) = 0;
 };
 
 /// Per-station and segment-wide traffic counters, used by the

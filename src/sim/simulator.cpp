@@ -29,6 +29,25 @@ void Simulator::cancel(EventId id) {
   release_slot(slot);
 }
 
+EventId Simulator::reschedule(EventId id, TimePoint when) {
+  const std::uint32_t slot = slot_of(id);
+  if (slot >= slots_.size()) return EventId{};
+  Slot& s = slots_[slot];
+  if (s.generation != generation_of(id) || s.heap_pos == kNone) return EventId{};
+  if (when < now_) when = now_;
+  // cancel + schedule would release the slot and take it straight back off
+  // the free list, bumping its generation; do the same, minus the detour.
+  if (++s.generation == 0) s.generation = 1;
+  const std::size_t pos = s.heap_pos;
+  const HeapEntry moved{when, next_seq_++, slot};
+  if (pos > 0 && earlier(moved, heap_[(pos - 1) / 2])) {
+    sift_up(pos, moved);
+  } else {
+    sift_down(pos, moved);
+  }
+  return EventId{(std::uint64_t{s.generation} << 32) | slot};
+}
+
 bool Simulator::fire_next() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();

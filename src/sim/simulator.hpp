@@ -78,6 +78,15 @@ class Simulator {
   /// timeouts). The event's callable is destroyed immediately.
   void cancel(EventId id);
 
+  /// Moves a pending event to `when` (clamped to now()), keeping its
+  /// callable. The event is re-keyed in place with a fresh FIFO sequence
+  /// number, so it fires exactly where cancel(id) followed by scheduling the
+  /// same callable at `when` would put it: same (when, seq) order, same
+  /// slot, same event count. Returns the event's new handle (`id` goes
+  /// stale, as after a cancel), or EventId{} when `id` is not pending — the
+  /// caller then schedules afresh.
+  EventId reschedule(EventId id, TimePoint when);
+
   /// Runs the next event, if any. Returns false when the queue is empty.
   bool step();
 

@@ -65,7 +65,10 @@ void FrameStore::drop(std::uint64_t lo, std::uint64_t hi) {
   for (std::uint64_t s = lo; s <= hi; ++s) {
     DataFrame& f = ring_[index(s)];
     if (f.seq != 0) {
-      f = DataFrame{};
+      // seq 0 marks the slot empty; dropping the payload releases this
+      // slot's reference on the received buffer.
+      f.seq = 0;
+      f.payload = util::SharedBytes();
       --count_;
     }
   }

@@ -21,6 +21,7 @@
 #include "util/bytes.hpp"
 #include "util/cdr.hpp"
 #include "util/ids.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::totem {
 
@@ -63,7 +64,8 @@ struct DataFrame {
   /// number: its copy is the agreed message, so a receiver holding a
   /// different (stale-lineage) frame at the same seq replaces it.
   bool authoritative = false;
-  Bytes payload;
+  /// A decoded frame's payload is a slice of the received Ethernet buffer.
+  util::SharedBytes payload;
 };
 
 /// The ring token. Only the node named `target` acts on it; others ignore it
@@ -162,8 +164,12 @@ Bytes encode_frame(NodeId sender, const InstallFrame& f);
 Bytes encode_frame(NodeId sender, const JoinRequestFrame& f);
 
 /// Decodes any frame; returns nullopt on malformed input (corrupt frames are
-/// dropped, as a real NIC drops bad-FCS frames).
+/// dropped, as a real NIC drops bad-FCS frames). A Data frame's payload is
+/// a slice of `data` (no copy).
+std::optional<Frame> decode_frame(const util::SharedBytes& data);
+/// Same, for bytes held elsewhere: a Data frame's payload is copied out.
 std::optional<Frame> decode_frame(BytesView data);
+inline std::optional<Frame> decode_frame(const Bytes& data) { return decode_frame(BytesView(data)); }
 
 /// Bytes of Totem header per Data frame (used by the fragmenter to size
 /// fragment payloads against the Ethernet MTU).
@@ -177,6 +183,7 @@ std::size_t data_frame_overhead();
 
 /// Packs complete messages (submission order) into one batch payload.
 Bytes pack_batch(const std::vector<Bytes>& messages);
+Bytes pack_batch(const std::vector<util::SharedBytes>& messages);
 
 /// Unpacks a batch payload holding exactly `count` messages. Returns nullopt
 /// on malformed input (truncated blob, count/length mismatch, trailing

@@ -150,16 +150,17 @@ void TotemNode::multicast(util::Bytes payload) {
   if (state_ == State::kDown) throw std::logic_error("TotemNode: multicast() while down");
   const std::size_t cap = fragment_capacity();
   const std::uint64_t msg_id = next_msg_id_++;
-  const std::size_t count = payload.empty() ? 1 : (payload.size() + cap - 1) / cap;
+  const std::size_t size = payload.size();
+  const std::size_t count = size == 0 ? 1 : (size + cap - 1) / cap;
+  // The message is moved in, never copied: each fragment is a slice of it.
+  const util::SharedBytes message(std::move(payload));
   for (std::size_t i = 0; i < count; ++i) {
     PendingFragment frag;
     frag.msg_id = msg_id;
     frag.frag_index = static_cast<std::uint32_t>(i);
     frag.frag_count = static_cast<std::uint32_t>(count);
     const std::size_t begin = i * cap;
-    const std::size_t end = std::min(payload.size(), begin + cap);
-    frag.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(begin),
-                        payload.begin() + static_cast<std::ptrdiff_t>(end));
+    frag.payload = count == 1 ? message : message.slice(begin, std::min(size, begin + cap) - begin);
     frag.enqueued_at = sim_.now();
     send_queue_.push_back(std::move(frag));
   }
@@ -171,13 +172,13 @@ void TotemNode::multicast(util::Bytes payload) {
         spans->begin(0, 0, node_, obs::Layer::kTotem, "fragmented-send", sim_.now(),
                      "msg=" + std::to_string(msg_id) +
                          " frags=" + std::to_string(count) +
-                         " bytes=" + std::to_string(payload.size()));
+                         " bytes=" + std::to_string(size));
   }
 }
 
 // ---------------------------------------------------------------- frame I/O
 
-void TotemNode::on_frame(NodeId from, util::BytesView raw) {
+void TotemNode::on_frame(NodeId from, const util::SharedBytes& raw) {
   if (state_ == State::kDown) return;
   std::optional<Frame> frame = decode_frame(raw);
   if (!frame) return;
@@ -291,7 +292,7 @@ void TotemNode::deliver_frame(const DataFrame& f) {
       return;
     }
     for (util::Bytes& m : *msgs) {
-      Delivery d{f.origin, f.view, f.seq, std::move(m)};
+      Delivery d{f.origin, f.view, f.seq, util::SharedBytes(std::move(m))};
       stats_.deliveries += 1;
       ctr_deliveries_.add();
       listener_->on_deliver(d);
@@ -309,7 +310,7 @@ void TotemNode::deliver_frame(const DataFrame& f) {
   util::Bytes& acc = partial_[key];
   util::append(acc, f.payload);
   if (f.frag_index + 1 == f.frag_count) {
-    Delivery d{f.origin, f.view, f.seq, std::move(acc)};
+    Delivery d{f.origin, f.view, f.seq, util::SharedBytes(std::move(acc))};
     partial_.erase(key);
     stats_.deliveries += 1;
     ctr_deliveries_.add();
@@ -424,7 +425,7 @@ void TotemNode::send_fragments(TokenFrame& token) {
 
     // Batch path: greedily coalesce queued complete messages, FIFO, until the
     // window or byte budget fills or a fragmented message blocks the queue.
-    std::vector<util::Bytes> msgs;
+    std::vector<util::SharedBytes> msgs;
     std::uint64_t first_msg_id = 0;
     TimePoint oldest{};
     std::size_t packed = 0;
@@ -617,8 +618,12 @@ void TotemNode::pass_token(TokenFrame token, bool idle) {
 }
 
 void TotemNode::arm_token_timer() {
-  sim_.cancel(token_timer_);
-  token_timer_ = sim_.schedule(config_.token_timeout, [this] {
+  // Runs on every received frame: re-key the pending timeout in place
+  // rather than cancelling it and scheduling a new one.
+  const TimePoint when = sim_.now() + config_.token_timeout;
+  token_timer_ = sim_.reschedule(token_timer_, when);
+  if (token_timer_ != sim::EventId{}) return;
+  token_timer_ = sim_.schedule_at(when, [this] {
     if (state_ == State::kOperational) {
       ETERNAL_LOG(kDebug, kTag, util::to_string(node_) << " token timeout -> gather");
       enter_gather();

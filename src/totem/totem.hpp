@@ -113,7 +113,9 @@ struct Delivery {
   NodeId sender;
   ViewId view;
   std::uint64_t seq = 0;  ///< sequence number of the message's last fragment
-  util::Bytes payload;
+  /// An unfragmented message is a slice of the received frame; a
+  /// reassembled or unbatched message is its own buffer.
+  util::SharedBytes payload;
 };
 
 /// Callbacks into the layer above. Invoked from simulation events; the
@@ -187,7 +189,7 @@ class TotemNode : public sim::Station {
   std::size_t fragment_capacity() const;
 
   // sim::Station
-  void on_frame(NodeId from, util::BytesView frame) override;
+  void on_frame(NodeId from, const util::SharedBytes& frame) override;
 
  private:
   enum class State { kDown, kJoining, kOperational, kGather, kRecovery };
@@ -196,7 +198,7 @@ class TotemNode : public sim::Station {
     std::uint64_t msg_id;
     std::uint32_t frag_index;
     std::uint32_t frag_count;
-    util::Bytes payload;
+    util::SharedBytes payload;  ///< the message, or a slice of it
     TimePoint enqueued_at{};  ///< submission time (queue-wait accounting)
   };
 

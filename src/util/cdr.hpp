@@ -10,9 +10,13 @@
 //   - sequences are a ulong element count, then elements.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <string>
+#include <string_view>
 
 #include "util/bytes.hpp"
 
@@ -30,7 +34,24 @@ class CdrError : public std::runtime_error {
 enum class ByteOrder : std::uint8_t { kBig = 0, kLittle = 1 };
 
 /// Host byte order of this process.
-ByteOrder host_byte_order() noexcept;
+constexpr ByteOrder host_byte_order() noexcept {
+  return std::endian::native == std::endian::little ? ByteOrder::kLittle : ByteOrder::kBig;
+}
+
+namespace cdr_detail {
+/// Reverses the byte order of an unsigned integer.
+template <typename T>
+constexpr T byteswap(T v) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  T out = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out = static_cast<T>(out << 8);
+    out |= static_cast<T>(v & 0xff);
+    v = static_cast<T>(v >> 8);
+  }
+  return out;
+}
+}  // namespace cdr_detail
 
 /// Serializes values into a growing buffer with CDR alignment.
 class CdrWriter {
@@ -39,13 +60,18 @@ class CdrWriter {
   /// is what a real ORB does (writers write native, readers swap).
   explicit CdrWriter(ByteOrder order = host_byte_order()) : order_(order) {}
 
+  /// Reserves `size_hint` bytes up front. An encoder that knows its exact
+  /// encoded size (see CdrSizer) passes it here, so the buffer is
+  /// allocated once and take() returns it with capacity() == size().
+  CdrWriter(ByteOrder order, std::size_t size_hint) : order_(order) { buf_.reserve(size_hint); }
+
   ByteOrder order() const noexcept { return order_; }
 
-  void put_u8(std::uint8_t v);
+  void put_u8(std::uint8_t v) { buf_.push_back(v); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
+  void put_u16(std::uint16_t v) { put_scalar(v); }
+  void put_u32(std::uint32_t v) { put_scalar(v); }
+  void put_u64(std::uint64_t v) { put_scalar(v); }
   void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   void put_f64(double v);
@@ -61,21 +87,59 @@ class CdrWriter {
   void put_raw(BytesView data);
 
   /// Pads to an N-byte boundary (N in {1,2,4,8}).
-  void align(std::size_t n);
+  void align(std::size_t n) {
+    const std::size_t rem = buf_.size() % n;
+    if (rem != 0) buf_.resize(buf_.size() + (n - rem), 0);
+  }
 
   /// Current encoded size.
   std::size_t size() const noexcept { return buf_.size(); }
-
-  /// Overwrites a previously written u32 at `offset` (used to backpatch the
-  /// GIOP message-size field once the body length is known).
-  void patch_u32(std::size_t offset, std::uint32_t v);
 
   const Bytes& bytes() const noexcept { return buf_; }
   Bytes take() && { return std::move(buf_); }
 
  private:
+  /// Aligns to sizeof(T), then appends `v` in the stream's byte order.
+  template <typename T>
+  void put_scalar(T v) {
+    align(sizeof(T));
+    if (order_ != host_byte_order()) v = cdr_detail::byteswap(v);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
+  }
+
   ByteOrder order_;
   Bytes buf_;
+};
+
+/// Counts the bytes a CdrWriter would produce for the same sequence of
+/// calls, alignment padding included, without writing anything. Encoders
+/// written once as a template over the writer type run it through a
+/// CdrSizer first and hand the result to CdrWriter's size hint, so the
+/// size and the bytes come from the same code.
+class CdrSizer {
+ public:
+  void put_u8(std::uint8_t) noexcept { size_ += 1; }
+  void put_bool(bool) noexcept { size_ += 1; }
+  void put_u16(std::uint16_t) noexcept { scalar(2); }
+  void put_u32(std::uint32_t) noexcept { scalar(4); }
+  void put_u64(std::uint64_t) noexcept { scalar(8); }
+  void put_i32(std::int32_t) noexcept { scalar(4); }
+  void put_i64(std::int64_t) noexcept { scalar(8); }
+  void put_f64(double) noexcept { scalar(8); }
+  void put_string(std::string_view s) noexcept { scalar(4); size_ += s.size() + 1; }
+  void put_octets(BytesView data) noexcept { scalar(4); size_ += data.size(); }
+  void put_raw(BytesView data) noexcept { size_ += data.size(); }
+  void align(std::size_t n) noexcept { size_ += (n - size_ % n) % n; }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  void scalar(std::size_t n) noexcept {
+    align(n);
+    size_ += n;
+  }
+  std::size_t size_ = 0;
 };
 
 /// Deserializes values from a buffer, tracking alignment from the buffer's
@@ -86,11 +150,14 @@ class CdrReader {
 
   ByteOrder order() const noexcept { return order_; }
 
-  std::uint8_t get_u8();
+  std::uint8_t get_u8() {
+    require(1);
+    return data_[pos_++];
+  }
   bool get_bool() { return get_u8() != 0; }
-  std::uint16_t get_u16();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
+  std::uint16_t get_u16() { return get_scalar<std::uint16_t>(); }
+  std::uint32_t get_u32() { return get_scalar<std::uint32_t>(); }
+  std::uint64_t get_u64() { return get_scalar<std::uint64_t>(); }
   std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   double get_f64();
@@ -100,7 +167,19 @@ class CdrReader {
   /// Reads `n` raw bytes with no alignment.
   Bytes get_raw(std::size_t n);
 
-  void align(std::size_t n);
+  /// get_raw / get_octets / get_string without the copy: views into the
+  /// buffer being read, valid as long as it is.
+  BytesView get_raw_view(std::size_t n);
+  BytesView get_octets_view() { return get_raw_view(get_u32()); }
+  std::string_view get_string_view();
+
+  void align(std::size_t n) {
+    const std::size_t rem = pos_ % n;
+    if (rem != 0) {
+      require(n - rem);
+      pos_ += n - rem;
+    }
+  }
 
   /// Reads an element count and validates it against the bytes remaining
   /// (each element consumes at least `min_element_bytes`). Prevents a
@@ -119,7 +198,21 @@ class CdrReader {
   bool exhausted() const noexcept { return pos_ == data_.size(); }
 
  private:
-  void require(std::size_t n);
+  void require(std::size_t n) {
+    if (n > data_.size() - pos_) underrun();
+  }
+  [[noreturn]] static void underrun();
+
+  /// Aligns to sizeof(T), then reads one T in the stream's byte order.
+  template <typename T>
+  T get_scalar() {
+    align(sizeof(T));
+    require(sizeof(T));
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return order_ != host_byte_order() ? cdr_detail::byteswap(v) : v;
+  }
 
   BytesView data_;
   ByteOrder order_;

@@ -45,12 +45,125 @@ Bytes random_bytes(Rng& rng, std::size_t max_len) {
 
 class DecodeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The trace id a decoded context list carries (the reference for
+/// Inspection::trace_id): the first 8-byte kTraceContextId entry, read
+/// little-endian, or 0.
+std::uint64_t trace_id_of(const giop::ServiceContextList& contexts) {
+  for (const auto& sc : contexts) {
+    if (sc.context_id != giop::kTraceContextId || sc.data.size() != 8) continue;
+    std::uint64_t id = 0;
+    for (std::size_t i = 0; i < 8; ++i) id |= std::uint64_t{sc.data[i]} << (8 * i);
+    return id;
+  }
+  return 0;
+}
+
+/// giop::inspect is the header-only half of giop::decode: it must accept
+/// exactly the inputs decode accepts and report the same header fields.
+void expect_inspect_matches_decode(const Bytes& wire) {
+  const std::optional<giop::Message> decoded = giop::decode(wire);
+  const std::optional<giop::Inspection> info = giop::inspect(wire);
+  ASSERT_EQ(info.has_value(), decoded.has_value()) << util::to_hex(wire);
+  if (!decoded) return;
+  EXPECT_EQ(info->type, decoded->type());
+  EXPECT_EQ(info->order, decoded->order);
+  const auto view_bytes = [](util::BytesView v) { return Bytes(v.begin(), v.end()); };
+  const Bytes body = view_bytes(util::BytesView(wire).subspan(info->body_offset));
+  switch (decoded->type()) {
+    case giop::MsgType::kRequest: {
+      const giop::Request& m = decoded->as_request();
+      EXPECT_EQ(info->request_id, m.request_id);
+      EXPECT_EQ(info->response_expected, m.response_expected);
+      EXPECT_EQ(view_bytes(info->object_key), m.object_key);
+      EXPECT_EQ(std::string(info->operation), m.operation);
+      EXPECT_EQ(info->service_context(), m.service_context);
+      EXPECT_EQ(info->trace_id(), trace_id_of(m.service_context));
+      EXPECT_EQ(body, m.body);
+      break;
+    }
+    case giop::MsgType::kReply: {
+      const giop::Reply& m = decoded->as_reply();
+      EXPECT_EQ(info->request_id, m.request_id);
+      EXPECT_EQ(info->status, static_cast<std::uint32_t>(m.reply_status));
+      EXPECT_EQ(info->service_context(), m.service_context);
+      EXPECT_EQ(info->trace_id(), trace_id_of(m.service_context));
+      EXPECT_EQ(body, m.body);
+      break;
+    }
+    case giop::MsgType::kCancelRequest:
+      EXPECT_EQ(info->request_id, std::get<giop::CancelRequest>(decoded->body).request_id);
+      break;
+    case giop::MsgType::kLocateRequest: {
+      const auto& m = std::get<giop::LocateRequest>(decoded->body);
+      EXPECT_EQ(info->request_id, m.request_id);
+      EXPECT_EQ(view_bytes(info->object_key), m.object_key);
+      break;
+    }
+    case giop::MsgType::kLocateReply: {
+      const auto& m = std::get<giop::LocateReply>(decoded->body);
+      EXPECT_EQ(info->request_id, m.request_id);
+      EXPECT_EQ(info->status, m.locate_status);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+/// A random message of every GIOP type, as giop::encode writes it.
+Bytes random_giop(Rng& rng) {
+  const auto order = rng.chance(0.5) ? util::ByteOrder::kLittle : util::ByteOrder::kBig;
+  const auto contexts = [&] {
+    giop::ServiceContextList out(rng.below(4));
+    for (auto& sc : out) {
+      // Mostly the trace context, so trace_id() sees hits and misfits.
+      sc.context_id = rng.chance(0.5) ? giop::kTraceContextId : static_cast<std::uint32_t>(rng.next());
+      sc.data = random_bytes(rng, rng.chance(0.5) ? 8 : 13);
+    }
+    return out;
+  };
+  const auto text = [&] {
+    std::string out(rng.below(20), 'a');
+    for (char& c : out) c = static_cast<char>('a' + rng.below(26));
+    return out;
+  };
+  switch (rng.below(7)) {
+    case 0: {
+      giop::Request m;
+      m.service_context = contexts();
+      m.request_id = static_cast<std::uint32_t>(rng.next());
+      m.response_expected = rng.chance(0.8);
+      m.object_key = random_bytes(rng, 20);
+      m.operation = text();
+      m.body = random_bytes(rng, 40);
+      return giop::encode(m, order);
+    }
+    case 1: {
+      giop::Reply m;
+      m.service_context = contexts();
+      m.request_id = static_cast<std::uint32_t>(rng.next());
+      m.reply_status = static_cast<giop::ReplyStatus>(rng.below(4));
+      m.body = random_bytes(rng, 40);
+      return giop::encode(m, order);
+    }
+    case 2: return giop::encode(giop::CancelRequest{static_cast<std::uint32_t>(rng.next())}, order);
+    case 3:
+      return giop::encode(giop::LocateRequest{static_cast<std::uint32_t>(rng.next()), random_bytes(rng, 20)},
+                          order);
+    case 4:
+      return giop::encode(giop::LocateReply{static_cast<std::uint32_t>(rng.next()),
+                                            static_cast<std::uint32_t>(rng.below(3))},
+                          order);
+    case 5: return giop::encode(giop::CloseConnection{}, order);
+    default: return giop::encode(giop::MessageError{}, order);
+  }
+}
+
 TEST_P(DecodeFuzz, RandomBytesNeverCrashDecoders) {
   Rng rng(GetParam());
   for (int i = 0; i < fuzz_iters(); ++i) {
     const Bytes junk = random_bytes(rng, 256);
-    (void)giop::decode(junk);
-    (void)giop::inspect(junk);
+    expect_inspect_matches_decode(junk);
     (void)giop::is_giop(junk);
     (void)giop::decode_ior(junk);
     (void)totem::decode_frame(junk);
@@ -89,7 +202,53 @@ TEST_P(DecodeFuzz, MutatedValidGiopNeverCrashes) {
       // enough to re-encode without throwing.
       (void)giop::encode(decoded->as_request());
     }
-    (void)giop::inspect(mutated);
+    expect_inspect_matches_decode(mutated);
+  }
+}
+
+TEST_P(DecodeFuzz, InspectAcceptsExactlyWhatDecodeAccepts) {
+  Rng rng(GetParam() ^ 0x1D5EC7);
+  for (int i = 0; i < fuzz_iters(); ++i) {
+    const Bytes valid = random_giop(rng);
+    expect_inspect_matches_decode(valid);
+    ASSERT_TRUE(giop::inspect(valid).has_value());
+    // Flipped bytes (the size, counts, lengths, status and NUL checks all
+    // get hit) and truncations at every cut point.
+    Bytes mutated = valid;
+    const std::size_t flips = 1 + rng.below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    }
+    expect_inspect_matches_decode(mutated);
+    const Bytes cut(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(rng.below(valid.size())));
+    expect_inspect_matches_decode(cut);
+  }
+}
+
+TEST_P(DecodeFuzz, PatchedRequestIdEqualsDecodeReencode) {
+  // The in-place request-id patch must produce exactly the bytes of
+  // decode → set request_id → encode, for every message giop::encode
+  // produces; for other types it refuses and leaves the bytes alone.
+  Rng rng(GetParam() ^ 0xBA7C4);
+  for (int i = 0; i < fuzz_iters() * 4; ++i) {
+    const Bytes wire = random_giop(rng);
+    const std::uint32_t rid = static_cast<std::uint32_t>(rng.next());
+    Bytes patched = wire;
+    const bool ok = giop::patch_request_id(patched, rid);
+    std::optional<giop::Message> msg = giop::decode(wire);
+    ASSERT_TRUE(msg.has_value());
+    if (auto* req = std::get_if<giop::Request>(&msg->body)) {
+      ASSERT_TRUE(ok);
+      req->request_id = rid;
+      EXPECT_EQ(patched, giop::encode(*req, msg->order));
+    } else if (auto* rep = std::get_if<giop::Reply>(&msg->body)) {
+      ASSERT_TRUE(ok);
+      rep->request_id = rid;
+      EXPECT_EQ(patched, giop::encode(*rep, msg->order));
+    } else {
+      EXPECT_FALSE(ok);
+      EXPECT_EQ(patched, wire);
+    }
   }
 }
 

@@ -122,12 +122,15 @@ TEST(Giop, RejectsBadReplyStatus) {
 }
 
 TEST(Giop, InspectExtractsHeaderFields) {
-  auto info = inspect(encode(sample_request()));
+  // Inspection views the message: keep the wire bytes alive while reading it.
+  const Bytes wire = encode(sample_request());
+  auto info = inspect(wire);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->type, MsgType::kRequest);
   EXPECT_EQ(info->request_id, 350u);
   EXPECT_EQ(info->operation, "withdraw");
-  EXPECT_EQ(info->object_key, util::bytes_of("bank-account-17"));
+  EXPECT_EQ(Bytes(info->object_key.begin(), info->object_key.end()),
+            util::bytes_of("bank-account-17"));
   EXPECT_TRUE(info->response_expected);
   EXPECT_TRUE(info->has_context(kCodeSetsContextId));
   EXPECT_TRUE(info->has_context(kVendorHandshakeContextId));
@@ -137,7 +140,8 @@ TEST(Giop, InspectExtractsHeaderFields) {
 TEST(Giop, InspectReply) {
   Reply m;
   m.request_id = 42;
-  auto info = inspect(encode(m));
+  const Bytes wire = encode(m);
+  auto info = inspect(wire);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->type, MsgType::kReply);
   EXPECT_EQ(info->request_id, 42u);

@@ -31,7 +31,7 @@ struct LocateRig {
 
   struct Catcher : MessageSink {
     LocateRig* rig;
-    void on_message(const Endpoint&, util::BytesView iiop) override {
+    void on_message(const Endpoint&, const util::SharedBytes& iiop) override {
       auto msg = giop::decode(iiop);
       if (msg && msg->type() == giop::MsgType::kLocateReply) {
         rig->locate_replies.push_back(std::get<giop::LocateReply>(msg->body));

@@ -14,7 +14,7 @@ struct Recorder : MessageSink {
   std::vector<std::pair<Endpoint, Bytes>> messages;
   std::vector<util::TimePoint> times;
   sim::Simulator* sim = nullptr;
-  void on_message(const Endpoint& from, util::BytesView iiop) override {
+  void on_message(const Endpoint& from, const util::SharedBytes& iiop) override {
     messages.emplace_back(from, Bytes(iiop.begin(), iiop.end()));
     if (sim != nullptr) times.push_back(sim->now());
   }

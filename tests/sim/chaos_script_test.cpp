@@ -24,7 +24,7 @@ constexpr Duration kMs{1'000'000};
 /// Counts frames delivered to one attached station.
 struct CountingStation : Station {
   std::uint64_t frames = 0;
-  void on_frame(NodeId, util::BytesView) override { ++frames; }
+  void on_frame(NodeId, const util::SharedBytes&) override { ++frames; }
 };
 
 struct Rig {

@@ -15,7 +15,7 @@ struct Recorder : Station {
   std::vector<std::pair<NodeId, Bytes>> frames;
   std::vector<util::TimePoint> times;
   Simulator* sim = nullptr;
-  void on_frame(NodeId from, util::BytesView payload) override {
+  void on_frame(NodeId from, const util::SharedBytes& payload) override {
     frames.emplace_back(from, Bytes(payload.begin(), payload.end()));
     if (sim != nullptr) times.push_back(sim->now());
   }

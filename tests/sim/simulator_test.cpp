@@ -302,5 +302,98 @@ TEST(Simulator, RandomizedDifferentialAgainstOrderedReference) {
   EXPECT_GT(fired, 30'000u);
 }
 
+// Twin-simulator differential test for reschedule(): simulator A moves
+// events with reschedule() (falling back to schedule_at when the event is
+// no longer pending, as TotemNode::arm_token_timer does); simulator B runs
+// the same operation stream with cancel() followed by schedule_at() of an
+// identical callable. Every handle, every firing (tag and instant) and the
+// event count must agree — including re-keys issued from inside handlers,
+// re-keys to the past (clamped to now) and stale handles.
+TEST(Simulator, RescheduleMatchesCancelPlusScheduleTwin) {
+  struct Twin {
+    Simulator sim;
+    std::vector<EventId> id_of;                      // tag → current handle
+    std::vector<std::pair<int, std::int64_t>> log;  // (tag, instant) per firing
+  };
+  std::array<Twin, 2> twins;
+  std::mt19937_64 rng(20261019);
+  std::vector<int> mover_of;  // tag → tag its handler re-keys (-1: none)
+
+  std::function<Callback(std::size_t, int)> make_callback;
+  // Re-keys `tag` to `when` on twin `t`: A in place, B by cancel + schedule.
+  auto move_to = [&](std::size_t t, int tag, TimePoint when) {
+    Twin& tw = twins[t];
+    EventId& id = tw.id_of[static_cast<std::size_t>(tag)];
+    if (t == 0) {
+      const EventId moved = tw.sim.reschedule(id, when);
+      id = moved != EventId{} ? moved : tw.sim.schedule_at(when, make_callback(t, tag));
+    } else {
+      tw.sim.cancel(id);
+      id = tw.sim.schedule_at(when, make_callback(t, tag));
+    }
+  };
+  make_callback = [&](std::size_t t, int tag) -> Callback {
+    return [&, t, tag] {
+      Twin& tw = twins[t];
+      tw.log.emplace_back(tag, tw.sim.now().count());
+      const int mover = mover_of[static_cast<std::size_t>(tag)];
+      if (mover >= 0) move_to(t, mover, tw.sim.now() + Duration(tag % 23));
+    };
+  };
+
+  for (int op = 0; op < 100'000; ++op) {
+    const std::uint64_t r = rng() % 100;
+    const int tags = static_cast<int>(mover_of.size());
+    if (r < 40 || tags == 0) {
+      const std::int64_t delay = static_cast<std::int64_t>(rng() % 50);
+      mover_of.push_back(tags > 0 && rng() % 6 == 0 ? static_cast<int>(rng() % tags) : -1);
+      for (std::size_t t = 0; t < 2; ++t) {
+        twins[t].id_of.push_back(twins[t].sim.schedule(Duration(delay), make_callback(t, tags)));
+      }
+    } else if (r < 75) {
+      const int tag = static_cast<int>(rng() % tags);
+      // Mostly forward (the token-timer case), sometimes into the past.
+      const std::int64_t offset = static_cast<std::int64_t>(rng() % 60) - 10;
+      for (std::size_t t = 0; t < 2; ++t) move_to(t, tag, twins[t].sim.now() + Duration(offset));
+    } else if (r < 85) {
+      const int tag = static_cast<int>(rng() % tags);
+      for (Twin& tw : twins) tw.sim.cancel(tw.id_of[static_cast<std::size_t>(tag)]);
+    } else {
+      const std::int64_t step = static_cast<std::int64_t>(rng() % 30);
+      for (Twin& tw : twins) tw.sim.run_until(tw.sim.now() + Duration(step));
+    }
+    ASSERT_EQ(twins[0].log.size(), twins[1].log.size()) << "firings diverged at op " << op;
+    if (op % 4096 == 0) {
+      ASSERT_EQ(twins[0].id_of, twins[1].id_of) << "handles diverged by op " << op;
+    }
+  }
+  for (Twin& tw : twins) tw.sim.run();
+  EXPECT_EQ(twins[0].id_of, twins[1].id_of);
+  EXPECT_EQ(twins[0].log, twins[1].log);
+  EXPECT_EQ(twins[0].sim.events_executed(), twins[1].sim.events_executed());
+  EXPECT_GT(twins[0].log.size(), 30'000u);
+  EXPECT_TRUE(twins[0].sim.idle());
+}
+
+TEST(Simulator, RescheduleOfFiredOrCancelledEventIsRefused) {
+  Simulator sim;
+  int fired = 0;
+  const EventId a = sim.schedule(Duration(5), [&] { ++fired; });
+  const EventId b = sim.schedule(Duration(5), [&] { ++fired; });
+  sim.cancel(b);
+  EXPECT_EQ(sim.reschedule(b, sim.now() + Duration(9)), EventId{});
+  const EventId moved = sim.reschedule(a, sim.now() + Duration(9));
+  ASSERT_NE(moved, EventId{});
+  EXPECT_NE(moved, a);  // the old handle went stale, as after a cancel
+  EXPECT_EQ(sim.reschedule(a, sim.now() + Duration(1)), EventId{});
+  sim.run_until(sim.now() + Duration(8));
+  EXPECT_EQ(fired, 0);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now().count(), 9);
+  EXPECT_EQ(sim.reschedule(moved, sim.now() + Duration(1)), EventId{});
+  EXPECT_EQ(sim.reschedule(EventId{}, sim.now()), EventId{});
+}
+
 }  // namespace
 }  // namespace eternal::sim

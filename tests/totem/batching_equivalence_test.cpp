@@ -114,7 +114,7 @@ struct Sink : TotemListener {
   /// legitimate hole in its stream and is excluded from the comparisons.
   bool rejoined_fresh = false;
   void on_deliver(const Delivery& d) override {
-    delivered.push_back(Rec{d.sender, d.payload});
+    delivered.push_back(Rec{d.sender, d.payload.to_bytes()});
   }
   void on_view_change(const View& v) override {
     rejoined_fresh |= v.self_rejoined_fresh;

@@ -123,22 +123,6 @@ TEST(Cdr, ZeroLengthStringThrows) {
   EXPECT_THROW(r.get_string(), CdrError);
 }
 
-TEST(Cdr, PatchU32Backpatches) {
-  CdrWriter w;
-  w.put_u32(0);  // placeholder at offset 0
-  w.put_u32(99);
-  w.patch_u32(0, 0xFEEDFACE);
-  CdrReader r(w.bytes(), w.order());
-  EXPECT_EQ(r.get_u32(), 0xFEEDFACEu);
-  EXPECT_EQ(r.get_u32(), 99u);
-}
-
-TEST(Cdr, PatchOutOfRangeThrows) {
-  CdrWriter w;
-  w.put_u16(1);
-  EXPECT_THROW(w.patch_u32(0, 1), CdrError);
-}
-
 TEST(Cdr, ReaderAlignSkipsPadding) {
   CdrWriter w;
   w.put_u8(9);
