@@ -2,11 +2,13 @@
 // building blocks — CDR marshaling, GIOP framing/inspection, Any state
 // values, Eternal envelopes, and Totem multicast throughput/latency across
 // the 1518-byte fragmentation knee — plus the simulation kernel's event
-// queue and Totem's frame store. Report-only: nothing gates on these rows.
+// queue, Ethernet broadcast delivery, Totem's frame store and the POA's
+// dispatch path. Report-only: nothing gates on these rows.
 #include <benchmark/benchmark.h>
 
 #include "core/envelope.hpp"
 #include "giop/giop.hpp"
+#include "orb/orb.hpp"
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
 #include "totem/frame_store.hpp"
@@ -205,6 +207,66 @@ BENCHMARK(BM_SimCancelRearm)
     ->Args({16, 1})
     ->Args({4096, 0})
     ->Args({4096, 1});
+
+/// One Ethernet broadcast of a 200-byte frame to `range(0)` receivers,
+/// from the send to the last receiver's on_frame. All receivers are handed
+/// the frame by one simulator event.
+void BM_EthernetBroadcast(benchmark::State& state) {
+  struct Sink : sim::Station {
+    std::uint64_t frames = 0;
+    void on_frame(util::NodeId, const util::SharedBytes&) override { frames += 1; }
+  };
+  const std::uint32_t receivers = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  std::vector<Sink> sinks(receivers + 1);
+  for (std::uint32_t i = 0; i <= receivers; ++i) ether.attach(util::NodeId{i + 1}, &sinks[i]);
+  for (auto _ : state) {
+    ether.broadcast(util::NodeId{1}, util::Bytes(200, 0x42));
+    sim.run();
+  }
+  benchmark::DoNotOptimize(sinks.back().frames);
+  state.SetItemsProcessed(state.iterations() * receivers);
+}
+BENCHMARK(BM_EthernetBroadcast)->Arg(3)->Arg(15);
+
+/// One request through the server ORB and its POA, with 64 objects
+/// active: decode, key lookup, admission, the execution gate, the reply
+/// and the admission slot's release. The servant answers at once through
+/// the gate; replies go to a transport that drops them.
+void BM_PoaDispatch(benchmark::State& state) {
+  struct Drop : orb::Transport {
+    std::uint64_t sent = 0;
+    void send(const orb::Endpoint&, util::Bytes) override { sent += 1; }
+  };
+  struct Immediate : orb::Servant {
+    void invoke(orb::ServerRequestPtr request) override {
+      request->run_when_clear([request] { request->reply(util::Bytes{1}); });
+    }
+  };
+  sim::Simulator sim;
+  orb::Orb server(sim, util::NodeId{2}, orb::OrbConfig{});
+  Drop transport;
+  server.plug_transport(transport);
+  const auto servant = std::make_shared<Immediate>();
+  for (int i = 0; i < 64; ++i) {
+    server.root_poa().activate("replicated-object-" + std::to_string(i), servant, "IDL:X:1.0");
+  }
+  giop::Request req;
+  req.request_id = 7;
+  req.object_key = util::bytes_of("replicated-object-17");
+  req.operation = "inc";
+  req.body = util::Bytes(16, 0x5A);
+  const util::SharedBytes wire(giop::encode(req));
+  const orb::Endpoint client{util::NodeId{1}, 2809};
+  for (auto _ : state) {
+    server.on_message(client, wire);
+    sim.run();
+  }
+  benchmark::DoNotOptimize(transport.sent);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoaDispatch);
 
 /// Totem frame store in its steady state: insert the next sequence number
 /// (moving a decoded frame in), look up the delivery head and a

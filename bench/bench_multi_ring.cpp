@@ -31,6 +31,10 @@
 //
 // Every cell replays its whole-run trace through the InvariantChecker; a
 // violation writes a flight-recorder dump and fails the binary.
+//
+// --no-obs runs with the trace and spans off, to measure what observation
+// costs. Nothing is checked then, and the reform row detects reformation
+// from the Totem view-change counters instead of reformation spans.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -65,6 +69,7 @@ constexpr Duration kSecond{1'000'000'000};
 constexpr Duration kMs{1'000'000};
 
 bool g_smoke = false;
+bool g_obs = true;  // trace and spans on (--no-obs turns both off)
 
 // 16 groups, mildly hot-skewed: with s = 0.5 the hottest ring of a 4-ring
 // round-robin pinning carries ~31% of the load, leaving headroom for the
@@ -87,8 +92,8 @@ SystemConfig ring_config(std::size_t rings) {
   for (std::uint32_t g = 1; g <= kGroups; ++g) {
     cfg.placement.pins[g] = (g - 1) % static_cast<std::uint32_t>(rings);
   }
-  cfg.trace_capacity = 1u << 21;  // whole-run trace feeds the checker
-  cfg.span_capacity = 1u << 16;   // reformation spans feed the reform row
+  cfg.trace_capacity = g_obs ? 1u << 21 : 0;  // whole-run trace feeds the checker
+  cfg.span_capacity = g_obs ? 1u << 16 : 0;   // reformation spans feed the reform row
   return cfg;
 }
 
@@ -156,7 +161,9 @@ std::vector<RingLoad> partition_load(System& sys, const std::vector<GroupId>& gr
 
 /// Replays the whole-run trace through the InvariantChecker; on violation
 /// writes a flight-recorder dump next to the binary and returns the count.
+/// With the trace off there is nothing to check: 0.
 std::uint64_t check_invariants(System& sys, const std::string& label) {
+  if (sys.trace() == nullptr) return 0;
   const std::vector<obs::Violation> violations =
       obs::InvariantChecker::check(*sys.trace());
   if (!violations.empty()) {
@@ -254,8 +261,21 @@ struct ReformResult {
   double crashed_p99_after_ms = -1.0;
   std::uint64_t crashed_reform_spans = 0;
   std::uint64_t bystander_reform_spans = 0;
+  /// Totem view installs after the crash, summed over the nodes: the
+  /// reformation evidence that needs no spans.
+  std::uint64_t crashed_view_changes = 0;
+  std::uint64_t bystander_view_changes = 0;
   std::uint64_t violations = 0;
 };
+
+/// View changes per ring, summed over every node's endpoint on it.
+std::vector<std::uint64_t> view_changes_per_ring(System& sys) {
+  std::vector<std::uint64_t> out(sys.rings(), 0);
+  for (NodeId n : sys.all_nodes()) {
+    for (std::size_t r = 0; r < out.size(); ++r) out[r] += sys.totem(n, r).stats().view_changes;
+  }
+  return out;
+}
 
 /// Counts reformation spans per placement ring that started at or after
 /// `from`. The span detail carries " rix=<N>" only for nonzero ring
@@ -292,7 +312,7 @@ ReformResult run_reform(std::size_t rings, double offered) {
   // Two full phases of invocation span trees precede the crash; the store
   // must not run out before the reformation span is opened, or the census
   // below would read "never reformed".
-  cfg.span_capacity = 1u << 19;
+  if (g_obs) cfg.span_capacity = 1u << 19;
   System sys(cfg);
   const std::vector<GroupId> groups = deploy_groups(sys);
   std::vector<RingLoad> before = partition_load(sys, groups, offered);
@@ -307,6 +327,7 @@ ReformResult run_reform(std::size_t rings, double offered) {
   }
 
   const util::TimePoint crash_at = sys.sim().now();
+  const std::vector<std::uint64_t> views_before = view_changes_per_ring(sys);
   sys.crash_ring_member(NodeId{2}, res.crashed_ring);
   for (RingLoad& rl : after) {
     if (rl.fleet) rl.fleet->start();
@@ -330,8 +351,15 @@ ReformResult run_reform(std::size_t rings, double offered) {
   res.bystander_p99_after_ms = phase_p99(after, false);
   res.crashed_p99_before_ms = phase_p99(before, true);
   res.crashed_p99_after_ms = phase_p99(after, true);
-  count_reform_spans(*sys.spans(), crash_at, res.crashed_ring,
-                     &res.crashed_reform_spans, &res.bystander_reform_spans);
+  if (const obs::SpanStore* spans = sys.spans()) {
+    count_reform_spans(*spans, crash_at, res.crashed_ring, &res.crashed_reform_spans,
+                       &res.bystander_reform_spans);
+  }
+  const std::vector<std::uint64_t> views_after = view_changes_per_ring(sys);
+  for (std::size_t r = 0; r < views_after.size(); ++r) {
+    const std::uint64_t delta = views_after[r] - views_before[r];
+    (r == res.crashed_ring ? res.crashed_view_changes : res.bystander_view_changes) += delta;
+  }
   res.violations = check_invariants(sys, "reform");
   return res;
 }
@@ -340,6 +368,9 @@ ReformResult run_reform(std::size_t rings, double offered) {
 
 int main(int argc, char** argv) {
   g_smoke = bench::smoke_mode(argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--no-obs") g_obs = false;
+  }
 
   bench::print_header(
       "Multi-ring scale-out — aggregate throughput vs independent Totem rings",
@@ -423,6 +454,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(reform.crashed_reform_spans),
               reform.bystander_p99_before_ms, reform.bystander_p99_after_ms,
               static_cast<unsigned long long>(reform.bystander_reform_spans));
+  if (!g_obs) {
+    std::printf("  no spans: view changes after the crash, crashed ring %llu, bystanders %llu\n",
+                static_cast<unsigned long long>(reform.crashed_view_changes),
+                static_cast<unsigned long long>(reform.bystander_view_changes));
+  }
   results.row()
       .col("kind", "reform")
       .col("rings", static_cast<std::uint64_t>(reform.rings))
@@ -436,11 +472,17 @@ int main(int argc, char** argv) {
       .col("bystander_reform_spans", reform.bystander_reform_spans)
       .col("violations", reform.violations);
   if (reform.violations != 0) ok = false;
-  if (reform.crashed_reform_spans == 0) {
+  // Reformation evidence: the reformation spans, or without spans the
+  // Totem view changes.
+  const bool crashed_reformed = g_obs ? reform.crashed_reform_spans > 0
+                                      : reform.crashed_view_changes > 0;
+  const bool bystander_reformed = g_obs ? reform.bystander_reform_spans > 0
+                                        : reform.bystander_view_changes > 0;
+  if (!crashed_reformed) {
     std::fprintf(stderr, "multi_ring: the crashed ring never reformed\n");
     ok = false;
   }
-  if (reform.bystander_reform_spans != 0) {
+  if (bystander_reformed) {
     std::fprintf(stderr, "multi_ring: a bystander ring reformed — isolation broken\n");
     ok = false;
   }

@@ -134,8 +134,46 @@ struct Envelope {
   Bytes control_data;
 };
 
+/// An encoded envelope read in place: every Envelope field, with the byte
+/// fields as views into the encoded bytes (valid as long as those are).
+/// Delivery routes a kReply on this view alone; only the nodes that hand
+/// the reply on ever copy or slice its bytes.
+struct EnvelopeView {
+  EnvelopeKind kind = EnvelopeKind::kRequest;
+  std::uint32_t ring = 0;
+  GroupId client_group;
+  GroupId target_group;
+  std::uint64_t op_seq = 0;
+  ReplicaId subject;
+  NodeId subject_node;
+  ControlOp control_op = ControlOp::kCreateGroup;
+  std::uint64_t delta_base = 0;
+  std::uint32_t chunk_index = 0;
+  std::uint32_t chunk_count = 0;
+  std::uint64_t transfer_id = 0;
+  std::uint64_t total_bytes = 0;
+  std::uint32_t extent_bytes = 0;
+  std::uint32_t digest_count = 0;
+  util::ByteOrder order = util::ByteOrder::kLittle;
+  BytesView digests;  ///< digest_count encoded u64s in `order`
+  BytesView payload;
+  BytesView orb_state;
+  BytesView infra_state;
+  BytesView control_data;
+};
+
 /// Serializes an envelope for multicasting.
 Bytes encode_envelope(const Envelope& e);
+
+/// Validates `data` as an envelope and reads it in place; nullopt on
+/// malformed bytes. Accepts exactly what decode_envelope accepts (decoding
+/// is this plus materialize_envelope).
+std::optional<EnvelopeView> inspect_envelope(BytesView data);
+
+/// The Envelope `view` reads. `data` holds the bytes `view` was inspected
+/// from; the payload is a slice of it (no copy), the other byte fields are
+/// copied.
+Envelope materialize_envelope(const EnvelopeView& view, const util::SharedBytes& data);
 
 /// Decodes; nullopt on malformed bytes. The payload is a slice of `data`
 /// (no copy); the other byte fields are copied.

@@ -302,7 +302,6 @@ void Mechanisms::kill_replica(GroupId group) {
   // level counters and handshake material survive in the mechanisms.
   for (auto& [key, conn] : outbound_) {
     if (key.first != group.value) continue;
-    conn.local_to_group.clear();
     conn.group_to_local.clear();
   }
   ETERNAL_LOG(kDebug, kTag,
@@ -444,8 +443,11 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     conn.next_group_rid = std::max(conn.next_group_rid, group_rid + 1);
     wire = std::move(iiop);
   }
-  conn.local_to_group[info.request_id] = group_rid;
-  conn.group_to_local[group_rid] = info.request_id;
+  if (group_rid != info.request_id) {
+    conn.group_to_local[group_rid] = info.request_id;
+  } else {
+    conn.group_to_local.erase(group_rid);  // the reply needs no translation
+  }
   if (rec_.tracing() && !is_handshake) {
     rec_.record(node_, obs::Layer::kMech, "rid_translate", group_rid,
                 "client=" + std::to_string(client_group.value) +

@@ -397,7 +397,9 @@ class Mechanisms final : public interceptor::Diversion,
     GroupId client_group;
     GroupId server_group;
     std::uint64_t next_group_rid = 0;
-    std::unordered_map<std::uint32_t, std::uint64_t> local_to_group;
+    /// Group rid → the ORB's own request id, for the invocations where
+    /// the two differ (a replica whose ORB restarted its counter). Replies
+    /// carry the group rid, so one with no entry needs no translation.
     std::unordered_map<std::uint64_t, std::uint32_t> group_to_local;
     bool handshake_done = false;
     std::optional<std::uint64_t> handshake_group_rid;
@@ -418,7 +420,10 @@ class Mechanisms final : public interceptor::Diversion,
   void deliver_request(Envelope&& e);
   /// Appends a delivered message to the group's log and persists it.
   void log_message(GroupId group, Envelope&& e);
-  void deliver_reply(const Envelope& e);
+  /// Routes a delivered reply on its view: the duplicate filter and the
+  /// client-role test run on the header; `frame` (the bytes `e` reads) is
+  /// sliced only where the reply is cached or handed to the ORB.
+  void deliver_reply(const EnvelopeView& e, const util::SharedBytes& frame);
   void deliver_get_state(const Envelope& e);
   void deliver_set_state(const Envelope& e);
   void deliver_checkpoint(const Envelope& e);

@@ -37,9 +37,11 @@ void Mechanisms::on_deliver(const totem::Delivery& delivery) {
 }
 
 void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery) {
-  // The envelope's payload is a slice of the delivered frame: from here to
+  // The envelope is read in place. Replies reach every node but are used
+  // at few, so they are routed on the view; every other kind is
+  // materialized, its payload a slice of the delivered frame: from here to
   // the ORB the request or reply bytes are passed on, never copied.
-  std::optional<Envelope> env = decode_envelope(delivery.payload);
+  const std::optional<EnvelopeView> env = inspect_envelope(delivery.payload);
   if (!env) {
     ETERNAL_LOG(kWarn, kTag, "malformed envelope delivered; dropped");
     return;
@@ -59,21 +61,29 @@ void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delive
                     << ring_of(env->target_group));
     return;
   }
-  switch (env->kind) {
-    case EnvelopeKind::kRequest: deliver_request(std::move(*env)); return;
-    case EnvelopeKind::kReply: deliver_reply(*env); return;
-    case EnvelopeKind::kGetState: deliver_get_state(*env); return;
-    case EnvelopeKind::kSetState: deliver_set_state(*env); return;
-    case EnvelopeKind::kCheckpoint: deliver_checkpoint(*env); return;
-    case EnvelopeKind::kControl: deliver_control(*env); return;
-    case EnvelopeKind::kStateChunk: deliver_state_chunk(*env); return;
-    case EnvelopeKind::kStateBulkDescriptor: deliver_bulk_descriptor(*env); return;
-    case EnvelopeKind::kStateBulkComplete: deliver_bulk_marker(*env); return;
+  if (env->kind == EnvelopeKind::kReply) {
+    deliver_reply(*env, delivery.payload);
+    return;
+  }
+  if (env->kind == EnvelopeKind::kBulkExtent || env->kind == EnvelopeKind::kBulkAck) {
+    // Lane-only kinds; one multicast on the ring would order raw state
+    // bytes without a descriptor. Drop them.
+    return;
+  }
+  Envelope e = materialize_envelope(*env, delivery.payload);
+  switch (e.kind) {
+    case EnvelopeKind::kRequest: deliver_request(std::move(e)); return;
+    case EnvelopeKind::kGetState: deliver_get_state(e); return;
+    case EnvelopeKind::kSetState: deliver_set_state(e); return;
+    case EnvelopeKind::kCheckpoint: deliver_checkpoint(e); return;
+    case EnvelopeKind::kControl: deliver_control(e); return;
+    case EnvelopeKind::kStateChunk: deliver_state_chunk(e); return;
+    case EnvelopeKind::kStateBulkDescriptor: deliver_bulk_descriptor(e); return;
+    case EnvelopeKind::kStateBulkComplete: deliver_bulk_marker(e); return;
+    case EnvelopeKind::kReply:
     case EnvelopeKind::kBulkExtent:
     case EnvelopeKind::kBulkAck:
-      // Lane-only kinds; one multicast on the ring would order raw state
-      // bytes without a descriptor. Drop them.
-      return;
+      return;  // handled above
   }
 }
 
@@ -335,7 +345,7 @@ void Mechanisms::deliver_request(Envelope&& e) {
   }
 }
 
-void Mechanisms::deliver_reply(const Envelope& e) {
+void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedBytes& frame) {
   SeqWindow& seen = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_replies_suppressed += 1;
@@ -368,12 +378,12 @@ void Mechanisms::deliver_reply(const Envelope& e) {
 
   OutboundConn& conn = outbound_conn(e.client_group, e.target_group);
   if (conn.handshake_group_rid.has_value() && *conn.handshake_group_rid == e.op_seq) {
-    conn.handshake_reply = e.payload.to_bytes();
+    conn.handshake_reply.assign(e.payload.begin(), e.payload.end());
     conn.handshake_done = true;
   }
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
-  conn.reply_cache[e.op_seq] = e.payload.to_bytes();
+  conn.reply_cache[e.op_seq].assign(e.payload.begin(), e.payload.end());
   while (conn.reply_cache.size() > kReplyCacheCap) {
     conn.reply_cache.erase(conn.reply_cache.begin());
   }
@@ -390,11 +400,12 @@ void Mechanisms::deliver_reply(const Envelope& e) {
   // Translate the group-consistent request_id back to the id this replica's
   // own ORB assigned (§4.2.1). If this replica never issued the operation,
   // the reply goes in untranslated and the ORB's own matching applies.
+  const util::SharedBytes payload = frame.slice(e.payload);
   auto local_it = conn.group_to_local.find(e.op_seq);
   const util::SharedBytes wire =
       (config_.sync_request_ids && local_it != conn.group_to_local.end())
-          ? rewrite_reply_id(e.payload, local_it->second)
-          : e.payload;
+          ? rewrite_reply_id(payload, local_it->second)
+          : payload;
   stats_.replies_delivered += 1;
   // The first client replica to hand the reply to its ORB completes the
   // invocation's span tree (duplicates at other clients are suppressed above).

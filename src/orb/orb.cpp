@@ -16,9 +16,11 @@ const util::Bytes kHandshakeKey{0xFD};
 /// First byte of every negotiated short object key.
 constexpr std::uint8_t kShortKeyPrefix = 0xFE;
 
-std::string key_string(util::BytesView key) {
-  return std::string(reinterpret_cast<const char*>(key.data()), key.size());
+std::string_view key_view(util::BytesView key) {
+  return std::string_view(reinterpret_cast<const char*>(key.data()), key.size());
 }
+
+std::string key_string(util::BytesView key) { return std::string(key_view(key)); }
 
 bool is_short_key(util::BytesView key) noexcept {
   return !key.empty() && key[0] == kShortKeyPrefix;
@@ -132,7 +134,10 @@ giop::Ior Poa::activate(const std::string& object_id, std::shared_ptr<Servant> s
   ActiveObject obj;
   obj.servant = std::move(servant);
   obj.type_id = type_id;
-  objects_[object_id] = std::move(obj);
+  const auto [it, fresh] =
+      handles_.try_emplace(object_id, static_cast<Handle>(slots_.size()));
+  if (fresh) slots_.emplace_back();
+  slots_[it->second] = std::move(obj);
 
   giop::Ior ior;
   ior.type_id = type_id;
@@ -144,24 +149,32 @@ giop::Ior Poa::activate(const std::string& object_id, std::shared_ptr<Servant> s
   return ior;
 }
 
-void Poa::deactivate(const std::string& object_id) { objects_.erase(object_id); }
+void Poa::deactivate(const std::string& object_id) {
+  if (const std::optional<Handle> h = find_handle(object_id)) slots_[*h].reset();
+}
 
 bool Poa::is_active(const std::string& object_id) const {
-  return objects_.count(object_id) > 0;
+  const std::optional<Handle> h = find_handle(object_id);
+  return h && slots_[*h].has_value();
 }
 
 std::size_t Poa::busy_objects() const {
   std::size_t n = 0;
-  for (const auto& [key, obj] : objects_) {
-    if (obj.inflight > 0) ++n;
+  for (const std::optional<ActiveObject>& obj : slots_) {
+    if (obj && obj->inflight > 0) ++n;
   }
   return n;
 }
 
+std::optional<Poa::Handle> Poa::find_handle(std::string_view key) const {
+  auto it = handles_.find(key);
+  if (it == handles_.end()) return std::nullopt;
+  return it->second;
+}
+
 void Poa::dispatch(const Endpoint& from, giop::Request request) {
-  const std::string key = key_string(request.object_key);
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+  const std::optional<Handle> h = find_handle(key_view(request.object_key));
+  if (!h || object(*h) == nullptr) {
     ETERNAL_LOG(kDebug, kTag, "POA: no active object for key; OBJECT_NOT_EXIST");
     if (request.response_expected) {
       util::CdrWriter w;
@@ -176,7 +189,11 @@ void Poa::dispatch(const Endpoint& from, giop::Request request) {
     }
     return;
   }
-  ActiveObject& obj = it->second;
+  admit(*h, from, std::move(request));
+}
+
+void Poa::admit(Handle h, const Endpoint& from, giop::Request request) {
+  ActiveObject& obj = *object(h);
   if (obj.inflight >= max_inflight_) {
     // SINGLE_THREAD_MODEL (max_inflight == 1) or a full admission window:
     // serialize the overflow per object.
@@ -189,12 +206,12 @@ void Poa::dispatch(const Endpoint& from, giop::Request request) {
   const std::uint32_t request_id = request.request_id;
   const bool response_expected = request.response_expected;
   const Endpoint reply_to = from;
-  auto completion = [this, key, ticket, request_id, response_expected, reply_to](
+  auto completion = [this, h, ticket, request_id, response_expected, reply_to](
                         bool user_exception, util::Bytes body) {
     if (response_expected) {
       orb_.send_reply(reply_to, request_id, user_exception, std::move(body));
     }
-    finish_ticket(key, ticket);
+    finish_ticket(h, ticket);
   };
   orb_.stats_.requests_dispatched += 1;
   auto server_request = std::make_shared<ServerRequest>(
@@ -203,58 +220,50 @@ void Poa::dispatch(const Endpoint& from, giop::Request request) {
   // order: a servant that wraps its body in run_when_clear executes only
   // when every earlier admitted invocation has completed.
   server_request->set_execution_gate(
-      [this, key, ticket](std::function<void()> body) {
-        gate_run(key, ticket, std::move(body));
-      });
+      [this, h, ticket](std::function<void()> body) { gate_run(h, ticket, std::move(body)); });
   obj.servant->invoke(std::move(server_request));
 }
 
-void Poa::finish_ticket(const std::string& key, std::uint64_t ticket) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return;  // deactivated mid-flight
-  ActiveObject& obj = it->second;
+void Poa::finish_ticket(Handle h, std::uint64_t ticket) {
+  ActiveObject* const found = object(h);
+  if (found == nullptr) return;  // deactivated mid-flight
+  ActiveObject& obj = *found;
   if (obj.inflight > 0) obj.inflight -= 1;
   obj.completed.insert(ticket);
   while (obj.completed.erase(obj.next_gate) != 0) obj.next_gate += 1;
   if (!obj.queue.empty() && obj.inflight < max_inflight_) {
     PendingDispatch next = std::move(obj.queue.front());
     obj.queue.pop_front();
-    dispatch(next.from, std::move(next.request));
+    admit(h, next.from, std::move(next.request));
   }
-  drain_gate(key);
+  drain_gate(h);
 }
 
-void Poa::gate_run(const std::string& key, std::uint64_t ticket,
-                   std::function<void()> body) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+void Poa::gate_run(Handle h, std::uint64_t ticket, std::function<void()> body) {
+  ActiveObject* const obj = object(h);
+  if (obj == nullptr) {
     body();  // deactivated mid-flight: nothing left to order against
     return;
   }
-  ActiveObject& obj = it->second;
-  if (ticket != obj.next_gate) {
-    obj.parked.emplace(ticket, std::move(body));
+  if (ticket != obj->next_gate) {
+    obj->parked.emplace(ticket, std::move(body));
     return;
   }
   body();
 }
 
-void Poa::drain_gate(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return;
-  ActiveObject& obj = it->second;
-  auto ready = obj.parked.find(obj.next_gate);
-  if (ready == obj.parked.end()) return;
+void Poa::drain_gate(Handle h) {
+  ActiveObject* const obj = object(h);
+  if (obj == nullptr || !obj->parked.contains(obj->next_gate)) return;
   // One parked body per simulator event: a long stall releasing a backlog
   // drains deterministically (FIFO at this instant) without re-entrancy.
-  orb_.sim_.defer([this, key] {
-    auto it2 = objects_.find(key);
-    if (it2 == objects_.end()) return;
-    ActiveObject& obj2 = it2->second;
-    auto front = obj2.parked.find(obj2.next_gate);
-    if (front == obj2.parked.end()) return;
+  orb_.sim_.defer([this, h] {
+    ActiveObject* const now = object(h);
+    if (now == nullptr) return;
+    auto front = now->parked.find(now->next_gate);
+    if (front == now->parked.end()) return;
     std::function<void()> body = std::move(front->second);
-    obj2.parked.erase(front);
+    now->parked.erase(front);
     body();
   });
 }

@@ -29,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "giop/giop.hpp"
@@ -148,18 +149,45 @@ class Poa {
     std::deque<PendingDispatch> queue;
   };
 
+  /// Index of an object key's slot in slots_. A key keeps its slot for
+  /// the POA's lifetime: deactivating empties the slot, activating the key
+  /// again refills it. So the object a handle reaches is always the one a
+  /// lookup by its key would find now, and a dispatch resolves its key once.
+  using Handle = std::uint32_t;
+
+  /// Hashes std::string and std::string_view alike, so a request's key can
+  /// be looked up without building a string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
+  std::optional<Handle> find_handle(std::string_view key) const;
+  /// The object active under the handle's key; nullptr when none is.
+  ActiveObject* object(Handle h) noexcept {
+    std::optional<ActiveObject>& slot = slots_[h];
+    return slot ? &*slot : nullptr;
+  }
+
   void dispatch(const Endpoint& from, giop::Request request);
+  /// Admits `request` to the object active under `h` (there must be one),
+  /// or queues it behind a full admission window.
+  void admit(Handle h, const Endpoint& from, giop::Request request);
   /// Completion of the dispatch holding `ticket`: frees its admission slot,
   /// admits queued work, advances the execution gate past every
   /// consecutively completed ticket and releases parked bodies.
-  void finish_ticket(const std::string& key, std::uint64_t ticket);
+  void finish_ticket(Handle h, std::uint64_t ticket);
   /// Runs `body` if `ticket` is the execution front, parks it otherwise.
-  void gate_run(const std::string& key, std::uint64_t ticket,
-                std::function<void()> body);
-  void drain_gate(const std::string& key);
+  void gate_run(Handle h, std::uint64_t ticket, std::function<void()> body);
+  void drain_gate(Handle h);
 
   Orb& orb_;
-  std::unordered_map<std::string, ActiveObject> objects_;
+  std::unordered_map<std::string, Handle, KeyHash, std::equal_to<>> handles_;
+  /// Indexed by Handle; a deque, so activating a new key never moves the
+  /// object a running dispatch refers to.
+  std::deque<std::optional<ActiveObject>> slots_;
   std::size_t max_inflight_ = 1;
 };
 

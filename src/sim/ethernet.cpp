@@ -1,10 +1,46 @@
 #include "sim/ethernet.hpp"
 
+#include <array>
+#include <memory>
 #include <stdexcept>
 
 #include "util/log.hpp"
 
 namespace eternal::sim {
+
+/// The delivery event of one broadcast: the frame and its receivers in
+/// send-time order. Up to kInline receivers are stored in the event itself
+/// (so the event fits Callback's inline buffer and schedules without
+/// allocating); a longer list lives in one heap array, in the same order.
+struct Ethernet::Arrival {
+  static constexpr std::uint32_t kInline = 16;
+
+  Ethernet* ether;
+  util::SharedBytes frame;
+  NodeId from;
+  std::uint32_t count = 0;
+  std::array<NodeId, kInline> inline_to{};
+  std::unique_ptr<NodeId[]> spilled_to;  ///< set when receivers may exceed kInline
+
+  Arrival(Ethernet* e, util::SharedBytes f, NodeId sender, std::size_t max_receivers)
+      : ether(e), frame(std::move(f)), from(sender) {
+    if (max_receivers > kInline) spilled_to = std::make_unique<NodeId[]>(max_receivers);
+  }
+
+  NodeId* receivers() noexcept { return spilled_to ? spilled_to.get() : inline_to.data(); }
+  void add(NodeId to) noexcept { receivers()[count++] = to; }
+
+  void operator()() {
+    ether->stats_.deliveries_coalesced += count - 1;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      // Looked up per receiver: an earlier receiver's handler may crash or
+      // re-attach a later one, exactly as between per-receiver events.
+      auto it = ether->stations_.find(receivers()[i]);
+      if (it == ether->stations_.end()) continue;  // crashed before arrival
+      it->second->on_frame(from, frame);
+    }
+  }
+};
 
 Ethernet::Ethernet(Simulator& sim, EthernetConfig config, std::uint64_t loss_seed)
     : sim_(sim), config_(config), rng_(loss_seed) {
@@ -58,7 +94,9 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
   const int sender_component = component_of(from);
   // Snapshot recipients now; attachment changes before `arrival` are checked
   // again at delivery time (a station that crashed mid-flight gets nothing).
-  const util::SharedBytes shared(std::move(payload));
+  static_assert(sizeof(Arrival) <= Callback::kInlineBytes,
+                "a broadcast's delivery event must not allocate");
+  Arrival delivery(this, util::SharedBytes(std::move(payload)), from, stations_.size() - 1);
   for (const auto& [node, station] : stations_) {
     if (node == from) continue;
     if (component_of(node) != sender_component) continue;
@@ -69,13 +107,9 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
       stats_.frames_dropped += 1;
       continue;
     }
-    const NodeId to = node;
-    sim_.schedule_at(arrival, [this, from, to, shared] {
-      auto it = stations_.find(to);
-      if (it == stations_.end()) return;  // crashed before arrival
-      it->second->on_frame(from, shared);
-    });
+    delivery.add(node);
   }
+  if (delivery.count > 0) sim_.schedule_at(arrival, std::move(delivery));
 }
 
 void Ethernet::set_partition(const std::vector<NodeId>& nodes, int component) {

@@ -61,6 +61,10 @@ struct EthernetStats {
   std::uint64_t bytes_sent = 0;      ///< on-wire bytes including framing
   std::uint64_t payload_bytes = 0;   ///< payload bytes only
   std::uint64_t frames_dropped = 0;  ///< loss-injected drops (receiver-side)
+  /// Simulator events saved by delivering each broadcast to all of its
+  /// receivers from one event: receivers - 1 per fired delivery event.
+  /// events_executed() plus this is the one-event-per-receiver count.
+  std::uint64_t deliveries_coalesced = 0;
 };
 
 /// The shared segment. Stations attach under a NodeId; `broadcast` queues a
@@ -89,6 +93,14 @@ class Ethernet {
   /// to every other attached station in the sender's partition component,
   /// after medium-serialization plus propagation. The sender does NOT
   /// receive its own frame (Totem handles self-delivery logically).
+  ///
+  /// Receivers and loss are decided at send time; one simulator event then
+  /// hands the frame to each receiver in that order, skipping any station
+  /// detached meanwhile. That is the order, and the instant, in which one
+  /// event per receiver would have fired: those events would take
+  /// consecutive sequence numbers at one instant, so nothing could fire
+  /// between them, and whatever a receiver schedules for that instant
+  /// fires after the last of them.
   void broadcast(NodeId from, Bytes payload);
 
   /// Places each listed node into partition component `component`.
@@ -116,6 +128,7 @@ class Ethernet {
   util::Duration frame_tx_time(std::size_t payload_bytes) const noexcept;
 
  private:
+  struct Arrival;
   int component_of(NodeId node) const noexcept;
 
   Simulator& sim_;

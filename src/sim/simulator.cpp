@@ -14,9 +14,12 @@ std::uint32_t generation_of(EventId id) noexcept {
 EventId Simulator::schedule_at(TimePoint when, Callback fn) {
   if (when < now_) when = now_;
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].fn = std::move(fn);
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.when = when;
+  s.seq = next_seq_++;
   heap_.emplace_back();
-  sift_up(heap_.size() - 1, HeapEntry{when, next_seq_++, slot});
+  sift_up(heap_.size() - 1, HeapEntry{when, s.seq, slot});
   return EventId{(std::uint64_t{slots_[slot].generation} << 32) | slot};
 }
 
@@ -38,18 +41,29 @@ EventId Simulator::reschedule(EventId id, TimePoint when) {
   // cancel + schedule would release the slot and take it straight back off
   // the free list, bumping its generation; do the same, minus the detour.
   if (++s.generation == 0) s.generation = 1;
-  const std::size_t pos = s.heap_pos;
-  const HeapEntry moved{when, next_seq_++, slot};
-  if (pos > 0 && earlier(moved, heap_[(pos - 1) / 2])) {
-    sift_up(pos, moved);
-  } else {
-    sift_down(pos, moved);
-  }
+  s.when = when;
+  s.seq = next_seq_++;
+  const HeapEntry moved{when, s.seq, slot};
+  // Later than the heap key (the usual case: a timeout pushed back): the
+  // slot alone records it, and settle_top() re-keys the entry if it ever
+  // reaches the top. Earlier: the entry must rise now.
+  if (!earlier(heap_[s.heap_pos], moved)) sift_up(s.heap_pos, moved);
   return EventId{(std::uint64_t{s.generation} << 32) | slot};
 }
 
-bool Simulator::fire_next() {
-  if (heap_.empty()) return false;
+bool Simulator::settle_top() noexcept {
+  // Every heap key is at or before its slot's key, so once the top entry is
+  // current it is the earliest pending event.
+  while (!heap_.empty()) {
+    const std::uint32_t slot = heap_.front().slot;
+    const Slot& s = slots_[slot];
+    if (heap_.front().seq == s.seq) return true;
+    sift_down(0, HeapEntry{s.when, s.seq, slot});
+  }
+  return false;
+}
+
+void Simulator::fire_top() {
   const HeapEntry top = heap_.front();
   remove_at(0);
   // Move the callable out and recycle its slot before running it: the
@@ -60,19 +74,22 @@ bool Simulator::fire_next() {
   now_ = top.when;
   ++executed_;
   fn();
+}
+
+bool Simulator::step() {
+  if (!settle_top()) return false;
+  fire_top();
   return true;
 }
 
-bool Simulator::step() { return fire_next(); }
-
 std::size_t Simulator::run(std::size_t limit) {
   std::size_t n = 0;
-  while (n < limit && fire_next()) ++n;
+  for (; n < limit && settle_top(); ++n) fire_top();
   return n;
 }
 
 void Simulator::run_until(TimePoint deadline) {
-  while (!heap_.empty() && heap_.front().when <= deadline) fire_next();
+  while (settle_top() && heap_.front().when <= deadline) fire_top();
   if (now_ < deadline) now_ = deadline;
 }
 

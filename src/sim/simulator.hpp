@@ -40,6 +40,11 @@ struct EventId {
 /// allocates nothing once the slab has grown to the peak pending count and
 /// the callable fits Callback's inline buffer; cancel() finds the heap entry
 /// through its slot and removes it in O(log n), with no hashing.
+///
+/// A slot holds its event's (when, seq); the heap entry's key is never
+/// later. reschedule() to a later key only rewrites the slot, in O(1); the
+/// heap entry is re-keyed when it reaches the top (see settle_top), before
+/// anything fires, so every event still fires at its slot's (when, seq).
 class Simulator {
  public:
   Simulator() { recorder_.bind_clock(&now_); }
@@ -84,7 +89,8 @@ class Simulator {
   /// same callable at `when` would put it: same (when, seq) order, same
   /// slot, same event count. Returns the event's new handle (`id` goes
   /// stale, as after a cancel), or EventId{} when `id` is not pending — the
-  /// caller then schedules afresh.
+  /// caller then schedules afresh. Moving an event later is O(1) (the heap
+  /// catches up lazily); moving it earlier sifts it up.
   EventId reschedule(EventId id, TimePoint when);
 
   /// Runs the next event, if any. Returns false when the queue is empty.
@@ -118,6 +124,8 @@ class Simulator {
   };
   struct Slot {
     Callback fn;
+    TimePoint when{};                 // the event's key; the heap entry's
+    std::uint64_t seq = 0;            // key is this or an earlier, stale one
     std::uint32_t generation = 1;    // bumped on release; never 0
     std::uint32_t heap_pos = kNone;  // index into heap_ while pending
     std::uint32_t next_free = kNone;  // free-list link while released
@@ -127,7 +135,12 @@ class Simulator {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
-  bool fire_next();
+  /// Re-keys stale entries at the top of the heap under their slots' keys
+  /// until the top is current. Fires, counts and advances nothing. Returns
+  /// false when no event is pending.
+  bool settle_top() noexcept;
+  /// Runs the top event. Precondition: settle_top() returned true.
+  void fire_top();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
   void place(std::size_t pos, const HeapEntry& e) noexcept;

@@ -14,8 +14,11 @@
 // and says why in CHANGES.md.
 //
 // A golden line also records the number of simulator events the run
-// executed. It is not observable behaviour, but a host-speed change must
-// not alter it either: same schedule calls, same order, same tie-breaks.
+// executed, counted as if every receiver of an Ethernet broadcast had its
+// own delivery event (events executed plus the deliveries each segment
+// coalesced into one event per broadcast). It is not observable behaviour,
+// but a host-speed change must not alter it either: same schedule calls,
+// same order, same tie-breaks.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -56,7 +59,7 @@ const std::string kGoldenPath = std::string(ETERNAL_TEST_DATA_DIR) + "/fingerpri
 struct Fingerprint {
   std::uint64_t trace = 0;    ///< digest of the exported trace stream
   std::uint64_t replies = 0;  ///< digest of every client's reply schedule
-  std::uint64_t events = 0;   ///< simulator events executed
+  std::uint64_t events = 0;   ///< simulator events, one per frame receiver
 
   std::string line(const std::string& name) const {
     std::ostringstream os;
@@ -114,6 +117,9 @@ class Rig {
     fp.trace = t.value();
     fp.replies = replies_.value();
     fp.events = sys_.sim().events_executed();
+    for (std::size_t ring = 0; ring < sys_.rings(); ++ring) {
+      fp.events += sys_.ethernet(ring).stats().deliveries_coalesced;
+    }
     return fp;
   }
 

@@ -525,6 +525,116 @@ TEST_P(DecodeFuzz, MutatedBulkAcksAndMarkersNeverCrash) {
   }
 }
 
+/// core::inspect_envelope is what delivery routes replies on: it must
+/// accept exactly the inputs decode_envelope accepts and read the same
+/// fields, byte fields included.
+void expect_view_matches_decode(const Bytes& wire) {
+  const std::optional<core::Envelope> decoded = core::decode_envelope(wire);
+  const std::optional<core::EnvelopeView> view = core::inspect_envelope(wire);
+  ASSERT_EQ(view.has_value(), decoded.has_value()) << util::to_hex(wire);
+  if (!decoded) return;
+  const auto bytes = [](util::BytesView v) { return Bytes(v.begin(), v.end()); };
+  EXPECT_EQ(view->kind, decoded->kind);
+  EXPECT_EQ(view->ring, decoded->ring);
+  EXPECT_EQ(view->client_group, decoded->client_group);
+  EXPECT_EQ(view->target_group, decoded->target_group);
+  EXPECT_EQ(view->op_seq, decoded->op_seq);
+  EXPECT_EQ(view->subject, decoded->subject);
+  EXPECT_EQ(view->subject_node, decoded->subject_node);
+  EXPECT_EQ(view->control_op, decoded->control_op);
+  EXPECT_EQ(view->delta_base, decoded->delta_base);
+  EXPECT_EQ(view->chunk_index, decoded->chunk_index);
+  EXPECT_EQ(view->chunk_count, decoded->chunk_count);
+  EXPECT_EQ(view->transfer_id, decoded->transfer_id);
+  EXPECT_EQ(view->total_bytes, decoded->total_bytes);
+  EXPECT_EQ(view->extent_bytes, decoded->extent_bytes);
+  EXPECT_EQ(view->digest_count, decoded->extent_digests.size());
+  EXPECT_EQ(bytes(view->payload), decoded->payload.to_bytes());
+  EXPECT_EQ(bytes(view->orb_state), decoded->orb_state);
+  EXPECT_EQ(bytes(view->infra_state), decoded->infra_state);
+  EXPECT_EQ(bytes(view->control_data), decoded->control_data);
+  // The shared-buffer decode slices the payload out of the same bytes.
+  const util::SharedBytes shared = util::SharedBytes::copy_of(wire);
+  const core::Envelope sliced = core::materialize_envelope(*core::inspect_envelope(shared), shared);
+  EXPECT_EQ(sliced.payload, decoded->payload.to_bytes());
+  EXPECT_EQ(sliced.extent_digests, decoded->extent_digests);
+  if (!sliced.payload.empty()) {
+    EXPECT_GE(sliced.payload.data(), shared.data());
+    EXPECT_LE(sliced.payload.end(), shared.end());
+  }
+}
+
+/// A random envelope of every kind, mostly well-formed for its kind (bulk
+/// geometry, chunk bounds, digest count) so that mutations start from
+/// envelopes the decoder accepts.
+core::Envelope random_envelope(Rng& rng) {
+  core::Envelope e;
+  e.kind = static_cast<core::EnvelopeKind>(1 + rng.below(11));
+  e.ring = static_cast<std::uint32_t>(rng.below(core::kMaxRings));
+  e.client_group = util::GroupId{static_cast<std::uint32_t>(rng.next())};
+  e.target_group = util::GroupId{static_cast<std::uint32_t>(rng.next())};
+  e.op_seq = rng.next();
+  e.subject = util::ReplicaId{rng.next()};
+  e.subject_node = util::NodeId{static_cast<std::uint32_t>(rng.next())};
+  e.control_op = static_cast<core::ControlOp>(1 + rng.below(5));
+  e.delta_base = rng.next();
+  e.chunk_count = 1 + static_cast<std::uint32_t>(rng.below(6));
+  e.chunk_index = static_cast<std::uint32_t>(rng.below(e.chunk_count));
+  e.payload = random_bytes(rng, 48);
+  if (e.kind >= core::EnvelopeKind::kStateBulkDescriptor) {
+    e.transfer_id = 1 + rng.below(1000);
+    e.extent_bytes = 1 + static_cast<std::uint32_t>(rng.below(32));
+    e.total_bytes = std::uint64_t{e.chunk_count - 1} * e.extent_bytes + 1 +
+                    rng.below(e.extent_bytes);
+    if (e.kind == core::EnvelopeKind::kStateBulkDescriptor) {
+      e.extent_digests.resize(e.chunk_count);
+      for (auto& d : e.extent_digests) d = rng.next();
+    }
+    if (e.kind == core::EnvelopeKind::kBulkExtent) {
+      const std::uint64_t offset = std::uint64_t{e.chunk_index} * e.extent_bytes;
+      e.payload = Bytes(std::min<std::uint64_t>(e.extent_bytes, e.total_bytes - offset), 0x5A);
+    }
+  }
+  e.orb_state = random_bytes(rng, 16);
+  e.infra_state = random_bytes(rng, 16);
+  e.control_data = random_bytes(rng, 16);
+  return e;
+}
+
+TEST_P(DecodeFuzz, EnvelopeViewAcceptsExactlyWhatDecodeAccepts) {
+  Rng rng(GetParam() ^ 0xE7E4B1E);
+  int mutants_accepted = 0;
+  int mutants_rejected = 0;
+  for (int i = 0; i < fuzz_iters(); ++i) {
+    const core::Envelope source = random_envelope(rng);
+    const Bytes valid = core::encode_envelope(source);
+    const std::optional<core::EnvelopeView> view = core::inspect_envelope(valid);
+    ASSERT_TRUE(view.has_value()) << "kind " << static_cast<int>(source.kind);
+    EXPECT_EQ(view->kind, source.kind);
+    EXPECT_EQ(view->ring, source.ring);
+    EXPECT_EQ(view->client_group, source.client_group);
+    EXPECT_EQ(view->target_group, source.target_group);
+    EXPECT_EQ(view->op_seq, source.op_seq);
+    EXPECT_EQ(Bytes(view->payload.begin(), view->payload.end()), source.payload.to_bytes());
+    expect_view_matches_decode(valid);
+    // Flipped bytes (kind, magic, ring bound, chunk and bulk geometry,
+    // counts and lengths all get hit) and truncation at a random cut.
+    Bytes mutated = valid;
+    const std::size_t flips = 1 + rng.below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    }
+    expect_view_matches_decode(mutated);
+    (core::inspect_envelope(mutated) ? mutants_accepted : mutants_rejected) += 1;
+    const Bytes cut(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(rng.below(valid.size())));
+    expect_view_matches_decode(cut);
+    expect_view_matches_decode(random_bytes(rng, 96));
+  }
+  // Both sides of the accept/reject boundary were exercised.
+  EXPECT_GT(mutants_accepted, 0);
+  EXPECT_GT(mutants_rejected, 0);
+}
+
 // Adversarial geometry: hand-built bulk envelopes with deliberately
 // inconsistent fields must all be rejected whole — each one encodes an
 // overlap, overflow, or truncation the reassembly path cannot survive.

@@ -4,6 +4,10 @@
 // exceptions, oneways.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "orb/orb.hpp"
 #include "orb/sync_servant.hpp"
 #include "orb/transport.hpp"
@@ -273,6 +277,108 @@ TEST(Orb, MalformedInboundCountsDecodeError) {
   pair.server.on_message(Endpoint{NodeId{1}, 2809}, util::bytes_of("garbage"));
   pair.sim.run_until(pair.sim.now() + Duration(1'000'000));
   EXPECT_EQ(pair.server.stats().decode_errors, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A dispatch resolves its object key once; its completion and execution
+// gate then reach the object by handle. These pin that the handle finds
+// what a lookup by key would find at that moment: nothing after a
+// deactivation, the new object after a re-activation under the same key.
+
+/// Holds every request until the test completes it through the POA's
+/// execution gate.
+class HeldServant : public Servant {
+ public:
+  std::vector<ServerRequestPtr> held;
+  void invoke(ServerRequestPtr request) override { held.push_back(std::move(request)); }
+  void finish(std::size_t i, std::uint8_t value) {
+    ServerRequestPtr r = held.at(i);
+    r->run_when_clear([r, value] { r->reply(Bytes{value}); });
+  }
+};
+
+struct HeldPair : OrbPair {
+  HeldPair() {
+    held_ior = server.root_poa().activate("held", first, "IDL:Held:1.0");
+    held_ref = client.resolve(held_ior);
+  }
+  /// Invokes on "held"; the outcome lands in `replies[tag]`.
+  void invoke(std::uint8_t tag) {
+    held_ref.invoke("op", Bytes{tag}, [this, tag](const ReplyOutcome& o) { replies[tag] = o; });
+  }
+  void settle() { sim.run_until(sim.now() + Duration(50'000'000)); }
+
+  std::shared_ptr<HeldServant> first = std::make_shared<HeldServant>();
+  giop::Ior held_ior;
+  ObjectRef held_ref;
+  std::map<std::uint8_t, ReplyOutcome> replies;
+};
+
+TEST(Orb, DeactivationMidDispatchLeavesTheDispatchWithoutAnObject) {
+  HeldPair p;
+  p.invoke(1);
+  p.invoke(2);  // queued behind 1 (single-threaded POA)
+  p.settle();
+  ASSERT_EQ(p.first->held.size(), 1u);
+  EXPECT_EQ(p.server.root_poa().busy_objects(), 1u);
+
+  p.server.root_poa().deactivate("held");
+  EXPECT_FALSE(p.server.root_poa().is_active("held"));
+  EXPECT_EQ(p.server.root_poa().busy_objects(), 0u);
+  // The in-flight body finds no object to order against and runs; its
+  // reply still goes out. The queued request died with the object.
+  p.first->finish(0, 41);
+  p.settle();
+  ASSERT_EQ(p.replies.count(1), 1u);
+  EXPECT_EQ(p.replies[1].status, giop::ReplyStatus::kNoException);
+  EXPECT_EQ(p.replies[1].body, (Bytes{41}));
+  EXPECT_EQ(p.replies.count(2), 0u);
+  EXPECT_EQ(p.first->held.size(), 1u);
+  EXPECT_EQ(p.client.outstanding_requests(), 1u);
+
+  p.invoke(3);
+  p.settle();
+  ASSERT_EQ(p.replies.count(3), 1u);
+  EXPECT_EQ(p.replies[3].status, giop::ReplyStatus::kSystemException);
+}
+
+TEST(Orb, ReactivationUnderSameKeyReachesTheNewObject) {
+  HeldPair p;
+  p.invoke(1);
+  p.settle();
+  ASSERT_EQ(p.first->held.size(), 1u);
+
+  auto second = std::make_shared<HeldServant>();
+  p.server.root_poa().deactivate("held");
+  p.server.root_poa().activate("held", second, "IDL:Held:1.0");
+  EXPECT_TRUE(p.server.root_poa().is_active("held"));
+  p.invoke(2);
+  p.settle();
+  EXPECT_EQ(p.first->held.size(), 1u);
+  ASSERT_EQ(second->held.size(), 1u);
+
+  // The old dispatch's gate and completion reach the object now active
+  // under its key — the new one. Its ticket 0 passes the new object's gate
+  // and its completion frees the new object's slot and advances its gate,
+  // so the new object's own ticket 0 parks behind a gate already past it.
+  p.first->finish(0, 41);
+  p.settle();
+  ASSERT_EQ(p.replies.count(1), 1u);
+  EXPECT_EQ(p.replies[1].body, (Bytes{41}));
+  EXPECT_EQ(p.server.root_poa().busy_objects(), 0u);
+  second->finish(0, 42);
+  p.settle();
+  EXPECT_EQ(p.replies.count(2), 0u);
+
+  // Later dispatches on the new object run normally.
+  p.invoke(3);
+  p.settle();
+  ASSERT_EQ(second->held.size(), 2u);
+  second->finish(1, 43);
+  p.settle();
+  ASSERT_EQ(p.replies.count(3), 1u);
+  EXPECT_EQ(p.replies[3].body, (Bytes{43}));
+  EXPECT_EQ(p.replies.count(2), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // randomized differential check against a (when, seq)-ordered reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <map>
@@ -373,6 +374,146 @@ TEST(Simulator, RescheduleMatchesCancelPlusScheduleTwin) {
   EXPECT_EQ(twins[0].sim.events_executed(), twins[1].sim.events_executed());
   EXPECT_GT(twins[0].log.size(), 30'000u);
   EXPECT_TRUE(twins[0].sim.idle());
+}
+
+// Differential test of the lazy re-key. Simulator A moves events with
+// reschedule(): a later key only rewrites the event's slot, and its stale
+// heap entry is re-keyed when it reaches the top. Simulator B, the eager
+// reference, cancels and schedules afresh, so its heap never holds a stale
+// key. One random stream of schedule, cancel, re-key earlier or later,
+// step(), run(limit) and run_until() drives both, and handlers schedule and
+// re-key too. After every operation the firings (tag and instant), now(),
+// events_executed(), idle() and the step/run results must agree.
+TEST(Simulator, LazyRekeyMatchesCancelPlusScheduleUnderEveryRunMode) {
+  struct Twin {
+    Simulator sim;
+    std::vector<EventId> id_of;                      // tag → current handle
+    std::vector<std::int64_t> when_of;              // tag → instant last keyed to
+    std::vector<std::pair<int, std::int64_t>> log;  // (tag, instant) per firing
+  };
+  std::array<Twin, 2> twins;
+  std::mt19937_64 rng(20261020);
+  bool nested = true;  // handlers schedule and re-key while the stream runs
+
+  std::function<Callback(std::size_t, int)> make_callback;
+  const auto add = [&](std::size_t t, TimePoint when) {
+    Twin& tw = twins[t];
+    const int tag = static_cast<int>(tw.id_of.size());
+    tw.when_of.push_back(std::max(when, tw.sim.now()).count());
+    tw.id_of.push_back(tw.sim.schedule_at(when, make_callback(t, tag)));
+  };
+  // Re-keys `tag` (rescheduling it afresh if it already fired or was
+  // cancelled): A in place, B by cancel + schedule.
+  const auto move_to = [&](std::size_t t, int tag, TimePoint when) {
+    Twin& tw = twins[t];
+    EventId& id = tw.id_of[static_cast<std::size_t>(tag)];
+    tw.when_of[static_cast<std::size_t>(tag)] = std::max(when, tw.sim.now()).count();
+    if (t == 0) {
+      const EventId moved = tw.sim.reschedule(id, when);
+      id = moved != EventId{} ? moved : tw.sim.schedule_at(when, make_callback(t, tag));
+    } else {
+      tw.sim.cancel(id);
+      id = tw.sim.schedule_at(when, make_callback(t, tag));
+    }
+  };
+  make_callback = [&](std::size_t t, int tag) -> Callback {
+    return [&, t, tag] {
+      Twin& tw = twins[t];
+      tw.log.emplace_back(tag, tw.sim.now().count());
+      if (!nested) return;
+      const TimePoint now = tw.sim.now();
+      if (tag % 4 == 1) {
+        const int other = static_cast<int>((static_cast<std::size_t>(tag) * 7) % tw.id_of.size());
+        move_to(t, other, now + Duration(tag % 29));
+      } else if (tag % 6 == 0) {
+        add(t, now + Duration(tag % 3 == 0 ? 0 : tag % 13));
+      }
+    };
+  };
+
+  const auto expect_agree = [&](int op) {
+    const Twin& a = twins[0];
+    const Twin& b = twins[1];
+    ASSERT_EQ(a.log.size(), b.log.size()) << "firings diverged at op " << op;
+    if (!a.log.empty()) {
+      ASSERT_EQ(a.log.back(), b.log.back()) << "op " << op;
+    }
+    ASSERT_EQ(a.sim.now(), b.sim.now()) << "op " << op;
+    ASSERT_EQ(a.sim.events_executed(), b.sim.events_executed()) << "op " << op;
+    ASSERT_EQ(a.sim.idle(), b.sim.idle()) << "op " << op;
+  };
+
+  std::uint64_t later_rekeys = 0;
+  for (int op = 0; op < 100'000; ++op) {
+    const std::uint64_t r = rng() % 100;
+    const std::size_t tags = twins[0].id_of.size();
+    if (r < 35 || tags == 0) {
+      const Duration delay(static_cast<std::int64_t>(rng() % 50));
+      for (std::size_t t = 0; t < 2; ++t) add(t, twins[t].sim.now() + delay);
+    } else if (r < 55) {
+      const int tag = static_cast<int>(rng() % tags);
+      const Duration later(1 + static_cast<std::int64_t>(rng() % 40));
+      for (std::size_t t = 0; t < 2; ++t) {
+        move_to(t, tag, TimePoint(Duration(twins[t].when_of[static_cast<std::size_t>(tag)])) + later);
+      }
+      ++later_rekeys;
+    } else if (r < 65) {
+      const int tag = static_cast<int>(rng() % tags);
+      const Duration earlier(static_cast<std::int64_t>(rng() % 40));
+      for (std::size_t t = 0; t < 2; ++t) {
+        move_to(t, tag, TimePoint(Duration(twins[t].when_of[static_cast<std::size_t>(tag)])) - earlier);
+      }
+    } else if (r < 72) {
+      const std::size_t tag = rng() % tags;
+      for (Twin& tw : twins) tw.sim.cancel(tw.id_of[tag]);
+    } else if (r < 80) {
+      const bool a = twins[0].sim.step();
+      const bool b = twins[1].sim.step();
+      ASSERT_EQ(a, b) << "step() diverged at op " << op;
+    } else if (r < 88) {
+      const std::size_t limit = 1 + rng() % 8;
+      const std::size_t a = twins[0].sim.run(limit);
+      const std::size_t b = twins[1].sim.run(limit);
+      ASSERT_EQ(a, b) << "run(limit) diverged at op " << op;
+    } else {
+      const Duration step(static_cast<std::int64_t>(rng() % 30));
+      for (Twin& tw : twins) tw.sim.run_until(tw.sim.now() + step);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_agree(op));
+    if (op % 4096 == 0) {
+      ASSERT_EQ(twins[0].id_of, twins[1].id_of) << "op " << op;
+    }
+  }
+  nested = false;
+  for (Twin& tw : twins) tw.sim.run();
+  ASSERT_NO_FATAL_FAILURE(expect_agree(-1));
+  EXPECT_EQ(twins[0].id_of, twins[1].id_of);
+  EXPECT_EQ(twins[0].log, twins[1].log);
+  EXPECT_TRUE(twins[0].sim.idle());
+  EXPECT_GT(later_rekeys, 15'000u);
+  EXPECT_GT(twins[0].log.size(), 30'000u);
+}
+
+TEST(Simulator, StaleHeapKeySurfacesWithoutFiringOrCounting) {
+  Simulator sim;
+  std::vector<char> fired;
+  const EventId a = sim.schedule(Duration(10), [&] { fired.push_back('a'); });
+  sim.schedule(Duration(20), [&] { fired.push_back('b'); });
+  ASSERT_NE(sim.reschedule(a, TimePoint(Duration(30))), EventId{});  // later: lazy
+  EXPECT_EQ(sim.run(1), 1u);  // a's stale key (10) surfaces first; b fires
+  EXPECT_EQ(fired, (std::vector<char>{'b'}));
+  EXPECT_EQ(sim.now().count(), 20);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  sim.run_until(TimePoint(Duration(25)));
+  EXPECT_EQ(fired.size(), 1u);
+  EXPECT_EQ(sim.now().count(), 25);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, (std::vector<char>{'b', 'a'}));
+  EXPECT_EQ(sim.now().count(), 30);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_FALSE(sim.step());
 }
 
 TEST(Simulator, RescheduleOfFiredOrCancelledEventIsRefused) {
